@@ -175,7 +175,12 @@ def _cmd_gen(args) -> int:
     elif args.kind == "generator":
         if not args.name:
             raise InvalidInputError("gen --kind generator requires --name")
-        params = json.loads(args.params) if args.params else {}
+        try:
+            params = json.loads(args.params) if args.params else {}
+        except json.JSONDecodeError as exc:
+            raise InvalidInputError(f"--params is not valid JSON: {exc}") from None
+        if not isinstance(params, dict):
+            raise InvalidInputError("--params must be a JSON object")
         params = {
             key: parse_rational(v) if isinstance(v, str) else v
             for key, v in params.items()
@@ -573,7 +578,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--cap", type=int, default=1_000_000,
-                   help="enumeration cap; exceeding it is an error")
+                   help="cap on the run assignments walked, C(r+n-1, n) for r runs; "
+                   "exceeding it is an error")
 
     p = new("sample", _cmd_sample, help="sampled statistic distribution")
     p.add_argument("--in", dest="infile", required=True)
@@ -585,7 +591,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--cap", type=int, default=1_000_000,
-                   help="enumeration cap; exceeding it is an error")
+                   help="cap on the run assignments walked, C(r+n-1, n) for r runs; "
+                   "exceeding it is an error")
 
     p = new("appears", _cmd_appears, help="search for an appearance witness")
     p.add_argument("--needle", required=True)

@@ -62,6 +62,9 @@ class HomogeneousSpec:
     _table: Mapping[SpecKey, int] = field(
         init=False, repr=False, compare=False, default=None
     )
+    _runs: tuple[int, ...] = field(
+        init=False, repr=False, compare=False, default=None
+    )
 
     def __post_init__(self):
         if self.parts < 1:
@@ -120,6 +123,32 @@ class HomogeneousSpec:
     @property
     def table(self) -> Mapping[SpecKey, int]:
         return self._table
+
+    @property
+    def runs(self) -> tuple[int, ...]:
+        """Last cell of every run, ascending: the coarsest partition of the
+        cells into intervals such that the color depends only on the run
+        vector and the order pattern.
+
+        Cells ``c`` and ``c+1`` share a run iff moving every coordinate in
+        cell ``c`` up to cell ``c+1`` never changes a color.  The move keeps
+        the pattern consistent, and repeating it carries every cell vector
+        of a run vector to the one with each coordinate in the last cell of
+        its run.  Computed on first use and kept on the spec.
+        """
+        if self._runs is None:
+            table = self._table
+            cut = [False] * self.parts + [True]
+            for (cells, pattern), color in table.items():
+                for c in set(cells):
+                    if cut[c]:
+                        continue
+                    moved = tuple(x + 1 if x == c else x for x in cells)
+                    if table[moved, pattern] != color:
+                        cut[c] = True
+            runs = tuple(c for c in range(1, self.parts + 1) if cut[c])
+            object.__setattr__(self, "_runs", runs)
+        return self._runs
 
 
 def check_homogeneous(model: DiscreteModel, parts: int) -> HomogeneousSpec:

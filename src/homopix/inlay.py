@@ -11,7 +11,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InvalidInputError, NotHomogeneousError
+from .errors import InvalidInputError, NotHomogeneousError, SearchBudgetError
 from .functions import PiecewiseFunction, evaluate
 from .homogeneity import HomogeneousSpec, check_homogeneous
 from .models import DiscreteModel, order_pattern
@@ -195,7 +195,7 @@ def sample_random_inlay(
             continue
         break
     else:
-        raise RuntimeError("exceeded redraw budget for boundary avoidance")
+        raise SearchBudgetError("exceeded redraw budget for boundary avoidance")
 
     def entry(idx):
         return evaluate(f, tuple(coords[i - 1] for i in idx))

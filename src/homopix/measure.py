@@ -9,15 +9,16 @@ feed certification verdicts.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, factorial, lcm, sqrt
-from typing import Iterator
+from math import factorial, lcm, sqrt
+from typing import Iterator, Mapping
 
 from .errors import CapExceededError, InvalidInputError
-from .functions import PiecewiseFunction, color_at, evaluate, resolution
-from .models import DiscreteModel, index_tuples, order_pattern
+from .functions import PiecewiseFunction, color_at, evaluate, resolution, step_form
+from .models import DiscreteModel, index_tuples
 from .sampling import dyadic_unit, sorted_distinct, substream
+from .substructure import _induced_models
 
 MU_CAP = 1_000_000
 CELL_CAP = 250_000
@@ -31,6 +32,9 @@ class StatisticDistribution:
     d: int
     k: int
     entries: tuple[tuple[DiscreteModel, Fraction], ...]
+    _lookup: Mapping[DiscreteModel, Fraction] = field(
+        init=False, repr=False, compare=False, default=None
+    )
 
     def __post_init__(self):
         total = sum((p for _, p in self.entries), Fraction(0))
@@ -38,12 +42,13 @@ class StatisticDistribution:
             raise InvalidInputError(f"probability mass {total} != 1")
         if any(p < 0 for _, p in self.entries):
             raise InvalidInputError("negative probability")
+        lookup: dict[DiscreteModel, Fraction] = {}
+        for model, p in self.entries:
+            lookup.setdefault(model, p)
+        object.__setattr__(self, "_lookup", lookup)
 
     def probability(self, model: DiscreteModel) -> Fraction:
-        for m, p in self.entries:
-            if m == model:
-                return p
-        return Fraction(0)
+        return self._lookup.get(model, Fraction(0))
 
     def support(self) -> set[DiscreteModel]:
         return {m for m, p in self.entries if p > 0}
@@ -57,16 +62,20 @@ class SampleReport:
     trials: int
     seed: int
     counts: tuple[tuple[DiscreteModel, int], ...]
+    _lookup: Mapping[DiscreteModel, int] = field(
+        init=False, repr=False, compare=False, default=None
+    )
 
     def __post_init__(self):
         if sum(c for _, c in self.counts) != self.trials:
             raise InvalidInputError("counts do not sum to trials")
+        lookup: dict[DiscreteModel, int] = {}
+        for model, c in self.counts:
+            lookup.setdefault(model, c)
+        object.__setattr__(self, "_lookup", lookup)
 
     def frequency(self, model: DiscreteModel) -> Fraction:
-        for m, c in self.counts:
-            if m == model:
-                return Fraction(c, self.trials)
-        return Fraction(0)
+        return Fraction(self._lookup.get(model, 0), self.trials)
 
 
 @dataclass(frozen=True)
@@ -260,47 +269,30 @@ def mu_exact(f: PiecewiseFunction, n: int, cap: int = MU_CAP) -> StatisticDistri
     """Exact distribution of the ``[n]^d`` model induced by ``n`` sorted
     uniform points.
 
-    Enumerates nondecreasing cell assignments of the points at the step
-    resolution ``L``; an assignment with cell multiplicities ``cnt`` has
-    probability ``n!/(prod cnt!) * L^-n`` and induces a single model because
-    the points are almost surely distinct and globally sorted.
+    The points are almost surely distinct and globally sorted, so the
+    induced model depends only on which run of the step form (an interval
+    of cells on which the color depends only on the run vector and the
+    order pattern) each point lies in.  An assignment with ``cnt_i`` points
+    in run ``i`` of ``len_i`` cells has probability
+    ``n!/prod(cnt_i!) * prod(len_i^cnt_i) / L^n`` at step resolution ``L``.
+    ``cap`` bounds the ``C(r+n-1, n)`` run assignments walked for ``r``
+    runs.
     """
-    if n < 1:
-        raise InvalidInputError("n must be >= 1")
-    res = resolution(f)
-    if res is None:
+    form = step_form(f)
+    if form is None:
         raise InvalidInputError(
             f"generator {f.name!r} has no exact step form; use sampling instead"
         )
-    if comb(res + n - 1, n) > cap:
-        raise CapExceededError(
-            f"C({res + n - 1},{n}) assignments exceed cap {cap}"
-        )
-    shapes = [(idx, order_pattern(idx)) for idx in index_tuples(n, f.d)]
+    kind, obj = form
+    if kind == "grid":
+        res, color = obj.m, lambda cells, pattern: obj.get(cells)
+    else:
+        res, color = obj.parts, obj.color
+    weights = _induced_models(obj.runs, color, f.d, n, cap)
     denom = res**n
-    n_fact = factorial(n)
-    color_cache: dict = {}
-    masses: dict[tuple[int, ...], Fraction] = {}
-    for assign in itertools.combinations_with_replacement(range(1, res + 1), n):
-        mult = 1
-        run = 1
-        for a, b in zip(assign, assign[1:]):
-            run = run + 1 if a == b else 1
-            mult *= run
-        weight = Fraction(n_fact, mult * denom)
-        values = []
-        for idx, pattern in shapes:
-            key = (tuple(assign[i - 1] for i in idx), pattern)
-            color = color_cache.get(key)
-            if color is None:
-                color = color_at(f, key[0], pattern, res)
-                color_cache[key] = color
-            values.append(color)
-        values = tuple(values)
-        masses[values] = masses.get(values, Fraction(0)) + weight
     entries = tuple(
-        (DiscreteModel(d=f.d, k=f.k, m=n, values=v), p)
-        for v, p in sorted(masses.items())
+        (DiscreteModel(d=f.d, k=f.k, m=n, values=v), Fraction(w, denom))
+        for v, w in sorted(weights.items())
     )
     return StatisticDistribution(n=n, d=f.d, k=f.k, entries=entries)
 

@@ -16,7 +16,7 @@ All values are immutable after construction and all functions are pure.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Sequence
@@ -114,6 +114,33 @@ def index_tuples(m: int, d: int) -> Iterator[tuple[int, ...]]:
     return itertools.product(range(1, m + 1), repeat=d)
 
 
+def _slices_equal(values: tuple[int, ...], m: int, d: int, c: int) -> bool:
+    # True iff, along every axis, the slice at cell c equals the slice at c+1.
+    # Each comparison runs on whole tuple slices: contiguous ones when the
+    # axis stride is long, strided ones (one per offset) when it is short.
+    for axis in range(d):
+        stride = m ** (d - 1 - axis)
+        outer = m**axis
+        block = m * stride
+        lo = (c - 1) * stride
+        if stride >= outer:
+            for base in range(lo, outer * block, block):
+                upper = base + stride
+                if values[base:upper] != values[upper : upper + stride]:
+                    return False
+        else:
+            for j in range(lo, lo + stride):
+                if values[j::block] != values[j + stride :: block]:
+                    return False
+    return True
+
+
+def _grid_runs(values: tuple[int, ...], m: int, d: int) -> tuple[int, ...]:
+    ends = [c for c in range(1, m) if not _slices_equal(values, m, d, c)]
+    ends.append(m)
+    return tuple(ends)
+
+
 @dataclass(frozen=True)
 class DiscreteModel:
     """A total function ``[m]^d -> [k]`` stored densely in row-major order."""
@@ -122,6 +149,9 @@ class DiscreteModel:
     k: int
     m: int
     values: tuple[int, ...]
+    _runs: tuple[int, ...] = field(
+        init=False, repr=False, compare=False, default=None
+    )
 
     def __post_init__(self):
         if not 1 <= self.d <= MAX_ARITY:
@@ -157,6 +187,18 @@ class DiscreteModel:
 
     def tuples(self) -> Iterator[tuple[int, ...]]:
         return index_tuples(self.m, self.d)
+
+    @property
+    def runs(self) -> tuple[int, ...]:
+        """Last cell of every run of the grid step function, ascending.
+
+        A run is a maximal interval of cells whose slices agree along every
+        axis, so the color depends on the cell vector only through its run
+        vector.  Computed on first use and kept on the model.
+        """
+        if self._runs is None:
+            object.__setattr__(self, "_runs", _grid_runs(self.values, self.m, self.d))
+        return self._runs
 
     @classmethod
     def from_function(cls, d: int, k: int, m: int, fn) -> "DiscreteModel":

@@ -221,9 +221,9 @@ def certify(
         rows = []
         structures = enumerate_substructures(spec, n)
         if exact:
-            lookup = {model: p for model, p in mu_exact(f, n).entries}
+            dist = mu_exact(f, n)
             for model in structures:
-                p = lookup.get(model, Fraction(0))
+                p = dist.probability(model)
                 if p <= 0:
                     all_positive = False
                 rows.append(CertificateEntry(model=model, mu=p))

@@ -13,6 +13,8 @@ from __future__ import annotations
 from fractions import Fraction
 from hashlib import blake2b
 
+from .errors import SearchBudgetError
+
 DYADIC_BITS = 64
 _DYADIC_DEN = 1 << DYADIC_BITS
 _MASK64 = _DYADIC_DEN - 1
@@ -78,4 +80,4 @@ def sorted_distinct(
         draws = [dyadic_in(rng, lo, hi) for _ in range(n)]
         if len(set(draws)) == n:
             return tuple(sorted(draws))
-    raise RuntimeError("exceeded redraw budget for distinct samples")
+    raise SearchBudgetError("exceeded redraw budget for distinct samples")

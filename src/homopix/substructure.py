@@ -72,31 +72,86 @@ def appears_weak(r: DiscreteModel, s: DiscreteModel) -> tuple[int, ...] | None:
     return _search(r, s, weak=True)
 
 
+def _induced_models(
+    runs: tuple[int, ...], color, d: int, n: int, cap: int
+) -> dict[tuple[int, ...], int]:
+    """Every ``[n]^d`` model induced by ``n`` sorted points of a step form,
+    with its integer weight over the common denominator ``L^n``.
+
+    ``runs`` holds the last cell of every run of the step form (the last is
+    ``L``) and ``color(cells, pattern)`` gives its colors.  The walk visits
+    the nondecreasing run assignments prefix by prefix; an assignment with
+    ``cnt_i`` points in run ``i`` of ``len_i`` cells has probability
+    ``n!/prod(cnt_i!) * prod(len_i^cnt_i) / L^n``.  Each point is placed at
+    the first cell of its run, and entries are grouped by their largest
+    index, so each new position colors only its new entries.  Returns
+    row-major value tables mapped to summed weights.
+    """
+    if n < 1:
+        raise InvalidInputError("n must be >= 1")
+    r = len(runs)
+    if comb(r + n - 1, n) > cap:
+        raise CapExceededError(
+            f"C({r + n - 1},{n}) run assignments exceed cap {cap}"
+        )
+    starts = (1,) + tuple(end + 1 for end in runs[:-1])
+    lengths = tuple(end - start + 1 for start, end in zip(starts, runs))
+    groups: list[list[tuple[tuple[int, ...], tuple[int, ...]]]] = [
+        [] for _ in range(n)
+    ]
+    for idx in index_tuples(n, d):
+        groups[max(idx) - 1].append((tuple(i - 1 for i in idx), order_pattern(idx)))
+    grouped = [idx for group in groups for idx, _ in group]
+    row_major = sorted(range(len(grouped)), key=grouped.__getitem__)
+
+    weights: dict[tuple[int, ...], int] = {}
+    cells = [0] * n  # first cell of the run chosen at each position
+    run_of = [0] * n
+    mult = [0] * n  # points in run_of[pos] among positions 0..pos
+    weight = [1] * (n + 1)  # weight[pos]: weight of the prefix 0..pos-1
+    mark = [0] * n  # len(colors) before position pos was colored
+    colors: list[int] = []
+    pos, j = 0, 0
+    while True:
+        run_of[pos] = j
+        cells[pos] = starts[j]
+        cnt = mult[pos - 1] + 1 if pos and run_of[pos - 1] == j else 1
+        mult[pos] = cnt
+        weight[pos + 1] = weight[pos] * (pos + 1) * lengths[j] // cnt
+        del colors[mark[pos]:]
+        for positions, pattern in groups[pos]:
+            colors.append(color(tuple(cells[i] for i in positions), pattern))
+        if pos + 1 < n:
+            pos += 1
+            mark[pos] = len(colors)
+            continue
+        key = tuple(colors)
+        weights[key] = weights.get(key, 0) + weight[n]
+        while run_of[pos] + 1 == r:
+            pos -= 1
+            if pos < 0:
+                return {
+                    tuple(values[i] for i in row_major): w
+                    for values, w in weights.items()
+                }
+        j = run_of[pos] + 1
+
+
 def enumerate_substructures(
     spec: HomogeneousSpec, n: int, cap: int = ENUM_CAP
 ) -> list[DiscreteModel]:
     """All ``[n]^d`` models induced by sorted points in a part-homogeneous
     function, i.e. exactly the support of its statistic distribution.
 
-    Enumerated directly from nondecreasing cell assignments; returned sorted
-    by value table for determinism.
+    Walks the nondecreasing assignments of the points to the spec's runs
+    (see :attr:`HomogeneousSpec.runs`); every such assignment has positive
+    weight ``n!/prod(cnt_i!) * prod(len_i^cnt_i)``, which is ignored here.
+    ``cap`` bounds the ``C(r+n-1, n)`` run assignments walked for ``r``
+    runs.  Returned sorted by value table for determinism.
     """
-    if n < 1:
-        raise InvalidInputError("n must be >= 1")
-    if comb(spec.parts + n - 1, n) > cap:
-        raise CapExceededError(
-            f"C({spec.parts + n - 1},{n}) assignments exceed cap {cap}"
-        )
-    shapes = [(idx, order_pattern(idx)) for idx in index_tuples(n, spec.d)]
-    seen: set[tuple[int, ...]] = set()
-    for assign in itertools.combinations_with_replacement(range(1, spec.parts + 1), n):
-        values = tuple(
-            spec.color(tuple(assign[i - 1] for i in idx), pattern)
-            for idx, pattern in shapes
-        )
-        seen.add(values)
+    models = _induced_models(spec.runs, spec.color, spec.d, n, cap)
     return [
-        DiscreteModel(d=spec.d, k=spec.k, m=n, values=v) for v in sorted(seen)
+        DiscreteModel(d=spec.d, k=spec.k, m=n, values=v) for v in sorted(models)
     ]
 
 

@@ -167,6 +167,15 @@ def test_usage_error_exit_code():
     assert code == 2
 
 
+@pytest.mark.parametrize("params", ["{bad", "[1]"])
+def test_gen_bad_params_exit_code(params, capsys):
+    code, out = invoke(
+        "gen", "--kind", "generator", "--name", "threshold", "--params", params
+    )
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err.startswith("error: --params")
+
+
 def test_malformed_file_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"format_version": 1, "kind": "grid"')

@@ -5,6 +5,7 @@ from math import sqrt
 
 import pytest
 
+import homopix.inlay
 from homopix import (
     Box,
     DiscreteModel,
@@ -22,6 +23,8 @@ from homopix import (
     mu_exact,
     sample_random_inlay,
 )
+from homopix.errors import SearchBudgetError
+from homopix.sampling import sorted_distinct
 from conftest import naive_compatible, naive_find_inlay, naive_is_homogeneous, rand_model
 
 
@@ -202,3 +205,35 @@ def test_sampler_avoids_boundaries_when_asked():
             for x in block:
                 coord = (base + x) / 2
                 assert (coord * 4).denominator != 1
+
+
+# ---------------------------------------------------------------------------
+# redraw budgets
+
+class ConstantStream:
+    """A stream that returns the same word forever."""
+
+    def __init__(self, word: int):
+        self._word = word
+
+    def word(self) -> int:
+        return self._word
+
+    def getrandbits(self, bits: int) -> int:
+        return self._word >> (64 - bits)
+
+
+def test_sorted_distinct_budget_is_typed():
+    with pytest.raises(SearchBudgetError, match="distinct samples"):
+        sorted_distinct(ConstantStream(5), 2, Fraction(0), Fraction(1))
+
+
+def test_boundary_redraw_budget_is_typed(monkeypatch):
+    # the top word maps every draw onto its window's upper end, which is a
+    # cell boundary of the avoided resolution
+    monkeypatch.setattr(
+        homopix.inlay, "substream", lambda seed, index: ConstantStream((1 << 64) - 1)
+    )
+    f = grid_function(DiscreteModel(d=1, k=2, m=2, values=(1, 2)))
+    with pytest.raises(SearchBudgetError, match="boundary avoidance"):
+        sample_random_inlay(f, 2, 1, Box.full(2), seed=0, avoid_resolution=2)
