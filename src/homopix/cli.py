@@ -63,6 +63,7 @@ from .ramsey import (
 )
 from .serialize import (
     box_to_json,
+    certificate_tables_to_json,
     certificate_to_json,
     distribution_to_json,
     estimate_to_json,
@@ -475,20 +476,13 @@ def _cmd_certify(args) -> int:
     tables, verdict, mode = certify(
         spec, f, args.nmax, trials=args.trials, seed=args.seed
     )
-    rows = []
-    for table in tables:
-        entries = []
-        for entry in table.entries:
-            row = {"model": model_to_json(entry.model)}
-            if entry.mu is not None:
-                row["mu"] = rational_to_json(entry.mu)
-            else:
-                row["count"] = entry.count
-                row["trials"] = entry.trials
-            entries.append(row)
-        rows.append({"n": table.n, "entries": entries})
     code = 0 if verdict in ("pass", "consistent") else 1
-    return _emit(args, {"tables": rows, "verdict": verdict, "mode": mode}, code=code)
+    payload = {
+        "tables": certificate_tables_to_json(tables),
+        "verdict": verdict,
+        "mode": mode,
+    }
+    return _emit(args, payload, code=code)
 
 
 def _cmd_ensure_size(args) -> int:
@@ -572,7 +566,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=10_000)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--cell-cap", type=int, default=250_000,
-                   help="refinement cell cap for the exact computation")
+                   help="cap on the merged cells visited, m^d for the m intervals "
+                   "between the merged run ends of both sides; exceeding it is an error")
 
     p = new("mu", _cmd_mu, help="exact statistic distribution")
     p.add_argument("--in", dest="infile", required=True)

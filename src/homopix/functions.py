@@ -22,7 +22,7 @@ from functools import lru_cache
 from typing import Mapping, Sequence
 
 from .errors import InvalidInputError
-from .homogeneity import HomogeneousSpec, coarsen_cells, consistent_pairs
+from .homogeneity import HomogeneousSpec, consistent_pairs
 from .models import MAX_SIDE, DiscreteModel, order_pattern
 
 GENERATOR_NAMES = (
@@ -178,28 +178,6 @@ def resolution(f: PiecewiseFunction) -> int | None:
         return None
     kind, obj = backing
     return obj.m if kind == "grid" else obj.parts
-
-
-def color_at(
-    f: PiecewiseFunction, cells: tuple[int, ...], pattern: tuple[int, ...], res: int
-) -> int:
-    """Color of ``f`` on the region of the ``res``-grid box ``cells`` where
-    the coordinate order is ``pattern``.
-
-    ``res`` must be a multiple of the function's step resolution, which makes
-    the color constant on that region.
-    """
-    backing = step_form(f)
-    if backing is None:
-        raise InvalidInputError(f"generator {f.name!r} has no exact step form")
-    kind, obj = backing
-    if kind == "grid":
-        if res % obj.m:
-            raise InvalidInputError(f"resolution {res} not a multiple of {obj.m}")
-        return obj.get(coarsen_cells(cells, res, obj.m))
-    if res % obj.parts:
-        raise InvalidInputError(f"resolution {res} not a multiple of {obj.parts}")
-    return obj.color(coarsen_cells(cells, res, obj.parts), pattern)
 
 
 def evaluate(f: PiecewiseFunction, point: Sequence[Fraction]) -> int:

@@ -27,7 +27,6 @@ from .models import (
     is_order_pattern,
     order_pattern,
     pattern_consistent,
-    subcell_to_cell,
 )
 
 SpecKey = tuple[tuple[int, ...], tuple[int, ...]]
@@ -227,12 +226,6 @@ def flatten_order_dependency(spec: HomogeneousSpec) -> HomogeneousSpec:
     for cells, pattern, _ in spec.entries:
         table[cells, pattern] = spec.color(cells, order_pattern(cells))
     return HomogeneousSpec.from_table(spec.parts, spec.d, spec.k, table)
-
-
-def coarsen_cells(cells: tuple[int, ...], fine: int, coarse: int) -> tuple[int, ...]:
-    """Map a cell vector at resolution ``fine`` to resolution ``coarse``
-    (``coarse`` divides ``fine``)."""
-    return tuple(subcell_to_cell(c, fine, coarse) for c in cells)
 
 
 def all_specs(parts: int, d: int, k: int) -> Iterator[HomogeneousSpec]:

@@ -11,12 +11,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial, lcm, sqrt
-from typing import Iterator, Mapping
+from math import factorial, lcm, prod, sqrt
+from typing import Mapping
 
 from .errors import CapExceededError, InvalidInputError
-from .functions import PiecewiseFunction, color_at, evaluate, resolution, step_form
-from .models import DiscreteModel, index_tuples
+from .functions import PiecewiseFunction, evaluate, step_form
+from .models import DiscreteModel, index_tuples, order_pattern
 from .sampling import dyadic_unit, sorted_distinct, substream
 from .substructure import _induced_models
 
@@ -86,30 +86,22 @@ class MonteCarloEstimate:
     seed: int
 
 
-def strict_regions(
-    cells: tuple[int, ...], res: int
-) -> Iterator[tuple[tuple[int, ...], Fraction]]:
-    """Strict order patterns consistent with a cell vector, with the exact
-    volume of each region.
-
-    Coordinates in distinct cells are ordered by their cells; within a group
-    of g coordinates sharing a cell each of the g! strict orders carves out
-    an equal share, so every region has volume ``res^-d / prod(g!)``.
-    Tie regions have measure zero and are not enumerated.
-    """
+def _strict_patterns(cells: tuple[int, ...]) -> tuple[list[tuple[int, ...]], int]:
+    """Strict order patterns consistent with a cell vector, and ``prod(g!)``
+    over its groups of ``g`` coordinates sharing a cell."""
     d = len(cells)
     groups: dict[int, list[int]] = {}
     for pos, c in enumerate(cells):
         groups.setdefault(c, []).append(pos)
     ordered = [groups[c] for c in sorted(groups)]
-    vol = Fraction(1, res**d)
-    for g in ordered:
-        vol /= factorial(len(g))
+    ties = 1
     offsets = []
     base = 1
     for g in ordered:
+        ties *= factorial(len(g))
         offsets.append(base)
         base += len(g)
+    patterns = []
     for arrangement in itertools.product(
         *(itertools.permutations(g) for g in ordered)
     ):
@@ -117,7 +109,78 @@ def strict_regions(
         for g_positions, off in zip(arrangement, offsets):
             for step, pos in enumerate(g_positions):
                 pattern[pos] = off + step
-        yield tuple(pattern), vol
+        patterns.append(tuple(pattern))
+    return patterns, ties
+
+
+def _refine(grids, d: int, cap: int):
+    """Common refinement of step grids at the union of their run ends.
+
+    ``grids`` holds ``(res, ends)`` pairs, ``ends`` the last cell of every
+    run of a step form, ascending, the last being ``res``.  The ends are
+    scaled to ``L = lcm(res, ...)`` and merged, so every merged interval
+    lies in one run of each grid; the last cell of that run stands for it.
+    ``cap`` bounds the merged cells visited (``m^d`` for ``m`` merged
+    intervals).
+
+    Returns ``(L, cuts, regions)``: merged interval ``i`` is
+    ``(cuts[i], cuts[i+1]]`` in units of ``1/L``, and ``regions`` yields
+    ``(vec, cells, patterns, weight)`` for each merged cell vector ``vec``:
+    ``cells[k]`` is grid ``k``'s representative cell vector, ``patterns``
+    the strict order patterns of ``vec``, and ``weight`` the volume of each
+    pattern's region as an integer over ``L^d * d!``.  Coordinates sharing
+    a merged interval split its box evenly, so the weight is
+    ``prod(len_i) * d!/prod(g!)``.
+    """
+    L = lcm(*(res for res, _ in grids))
+    cuts = [0] + sorted({end * (L // res) for res, ends in grids for end in ends})
+    reps = []
+    for res, ends in grids:
+        scale = L // res
+        run_end = iter(ends)
+        end = next(run_end)
+        column = []
+        for hi in cuts[1:]:
+            while end * scale < hi:
+                end = next(run_end)
+            column.append(end)
+        reps.append(column)
+    count = (len(cuts) - 1) ** d
+    if count > cap:
+        raise CapExceededError(f"{count} merged cells exceed cap {cap}")
+    return L, cuts, _regions(d, cuts, reps)
+
+
+def _regions(d, cuts, reps):
+    # the loop of _refine; the patterns of a merged cell vector depend only
+    # on which of its coordinates share an interval, so they are kept per shape
+    lengths = [hi - lo for lo, hi in zip(cuts, cuts[1:])]
+    full = factorial(d)
+    shapes: dict[tuple[int, ...], tuple[list[tuple[int, ...]], int]] = {}
+    for vec in itertools.product(range(len(lengths)), repeat=d):
+        shape = order_pattern(vec)
+        known = shapes.get(shape)
+        if known is None:
+            patterns, ties = _strict_patterns(shape)
+            known = shapes[shape] = (patterns, full // ties)
+        yield (
+            vec,
+            tuple(tuple(column[i] for i in vec) for column in reps),
+            known[0],
+            prod(lengths[i] for i in vec) * known[1],
+        )
+
+
+def _step(f: PiecewiseFunction):
+    """``(res, runs, color)`` of the exact step form, or None (threshold);
+    ``color(cells, pattern)`` ignores the pattern on a grid."""
+    form = step_form(f)
+    if form is None:
+        return None
+    kind, obj = form
+    if kind == "grid":
+        return obj.m, obj.runs, lambda cells, pattern: obj.get(cells)
+    return obj.parts, obj.runs, obj.color
 
 
 # ---------------------------------------------------------------------------
@@ -150,16 +213,15 @@ def _polygon_area(poly) -> Fraction:
     return abs(total) / 2
 
 
-def _region_polygon(cells: tuple[int, int], pattern: tuple[int, int] | None, res: int):
-    (c1, c2) = cells
-    a1, b1 = Fraction(c1 - 1, res), Fraction(c1, res)
-    a2, b2 = Fraction(c2 - 1, res), Fraction(c2, res)
+def _low_area(cut: Fraction, bounds, pattern: tuple[int, int] | None) -> Fraction:
+    # area of {x1 + x2 <= cut} in the box ``bounds``, or in one pattern's half
+    (a1, b1), (a2, b2) = bounds
     poly = [(a1, a2), (b1, a2), (b1, b2), (a1, b2)]
     if pattern == (1, 2):  # x1 < x2
         poly = _clip_halfplane(poly, Fraction(1), Fraction(-1), Fraction(0))
     elif pattern == (2, 1):  # x2 < x1
         poly = _clip_halfplane(poly, Fraction(-1), Fraction(1), Fraction(0))
-    return poly
+    return _polygon_area(_clip_halfplane(poly, Fraction(1), Fraction(1), cut))
 
 
 def threshold_low_measure(
@@ -167,31 +229,52 @@ def threshold_low_measure(
 ) -> Fraction:
     """Area of ``{x1 + x2 <= cut}`` inside a grid box, optionally restricted
     to one strict-order half of it."""
-    poly = _region_polygon(cells, pattern, res)
-    poly = _clip_halfplane(poly, Fraction(1), Fraction(1), cut)
-    return _polygon_area(poly)
+    bounds = [(Fraction(c - 1, res), Fraction(c, res)) for c in cells]
+    return _low_area(cut, bounds, pattern)
+
+
+def _box_measures(
+    f: PiecewiseFunction, parts: int, cap: int
+) -> tuple[int, dict[tuple[int, ...], dict[int, Fraction | int]]]:
+    """Measure of each color in each box of the ``parts``-grid, as
+    numerators over the returned denominator.
+
+    A step form is refined once at its runs and the ``parts`` cell ends;
+    ``cap`` bounds the merged cells, or the threshold boxes, visited.  Every
+    box holds at least one merged cell, so more than ``cap`` boxes raise
+    before anything is built.
+    """
+    if parts**f.d > cap:
+        raise CapExceededError(f"{parts**f.d} boxes exceed cap {cap}")
+    step = _step(f)
+    if step is not None:
+        res, runs, color = step
+        L, _, regions = _refine([(res, runs), (parts, range(1, parts + 1))], f.d, cap)
+        out: dict = {}
+        for _, (cells, box_cells), patterns, weight in regions:
+            measures = out.setdefault(box_cells, {})
+            for pattern in patterns:
+                c = color(cells, pattern)
+                measures[c] = measures.get(c, 0) + weight
+        return L**f.d * factorial(f.d), out
+    if f.kind == "generator" and f.name == "threshold":
+        size = Fraction(1, parts**2)
+        out = {}
+        for cells in index_tuples(parts, 2):
+            low = threshold_low_measure(f.param("c"), cells, None, parts)
+            out[cells] = {1: low, 2: size - low}
+        return 1, out
+    raise InvalidInputError(f"generator {f.name!r} has no exact measure oracle")
 
 
 def box_color_measures(
     f: PiecewiseFunction, cells: tuple[int, ...], parts: int
 ) -> dict[int, Fraction]:
     """Exact measure of each color inside a box of the ``parts``-grid."""
-    res = resolution(f)
-    if res is not None:
-        fine = lcm(res, parts)
-        ratio = fine // parts
-        out: dict[int, Fraction] = {}
-        axis_ranges = [range((c - 1) * ratio + 1, c * ratio + 1) for c in cells]
-        for sub in itertools.product(*axis_ranges):
-            for pattern, vol in strict_regions(sub, fine):
-                color = color_at(f, sub, pattern, fine)
-                out[color] = out.get(color, Fraction(0)) + vol
-        return out
-    if f.kind == "generator" and f.name == "threshold":
-        low = threshold_low_measure(f.param("c"), cells, None, parts)
-        box = Fraction(1, parts**f.d)
-        return {1: low, 2: box - low}
-    raise InvalidInputError(f"generator {f.name!r} has no exact measure oracle")
+    if len(cells) != f.d or not all(1 <= c <= parts for c in cells):
+        raise InvalidInputError(f"box {cells} is not a cell of the {parts}-grid")
+    denom, boxes = _box_measures(f, parts, CELL_CAP)
+    return {c: Fraction(w, denom) for c, w in boxes[tuple(cells)].items()}
 
 
 # ---------------------------------------------------------------------------
@@ -203,39 +286,41 @@ def distance_exact(
     """Probability that ``f`` and ``g`` disagree at a uniform point, exactly.
 
     Both arguments must expose an exact step form, except that one side may
-    be the threshold generator (handled by exact polygon areas).  Tie
+    be the threshold generator.  Two step forms are refined once at the
+    union of their run ends (see :func:`_refine`), where each merged region
+    has one color on either side; against a threshold each merged box of
+    the stepped side is clipped as a polygon, the diagonal ones in halves
+    by pattern.  ``cell_cap`` bounds the ``m^d`` merged cells visited.  Tie
     regions have measure zero and contribute nothing.
     """
     if f.d != g.d or f.k != g.k:
         raise InvalidInputError("dimension/color mismatch")
     if f == g:
         return Fraction(0)
-    rf, rg = resolution(f), resolution(g)
-    if rf is None and rg is None:
+    sf, sg = _step(f), _step(g)
+    if sf is None and sg is None:
         raise InvalidInputError("neither side has an exact step form")
-    if rf is not None and rg is not None:
-        res = lcm(rf, rg)
-        if res**f.d > cell_cap:
-            raise CapExceededError(f"{res}^{f.d} cells exceeds cap {cell_cap}")
-        total = Fraction(0)
-        for cells in index_tuples(res, f.d):
-            for pattern, vol in strict_regions(cells, res):
-                if color_at(f, cells, pattern, res) != color_at(g, cells, pattern, res):
-                    total += vol
-        return total
-    stepped, other = (f, g) if rf is not None else (g, f)
+    if sf is not None and sg is not None:
+        (rf, runs_f, color_f), (rg, runs_g, color_g) = sf, sg
+        L, _, regions = _refine([(rf, runs_f), (rg, runs_g)], f.d, cell_cap)
+        differ = 0
+        for _, (cells_f, cells_g), patterns, weight in regions:
+            for pattern in patterns:
+                if color_f(cells_f, pattern) != color_g(cells_g, pattern):
+                    differ += weight
+        return Fraction(differ, L**f.d * factorial(f.d))
+    (res, runs, color), other = (sf, g) if sf is not None else (sg, f)
     if not (other.kind == "generator" and other.name == "threshold"):
         raise InvalidInputError(f"generator {other.name!r} has no exact step form")
     cut = other.param("c")
-    res = resolution(stepped)
-    if res**2 > cell_cap:
-        raise CapExceededError(f"{res}^2 cells exceeds cap {cell_cap}")
+    L, cuts, regions = _refine([(res, runs)], 2, cell_cap)
     total = Fraction(0)
-    for cells in index_tuples(res, 2):
-        for pattern, vol in strict_regions(cells, res):
-            color = color_at(stepped, cells, pattern, res)
-            low = threshold_low_measure(cut, cells, pattern, res)
-            total += (vol - low) if color == 1 else low
+    for vec, (cells,), patterns, weight in regions:
+        bounds = [(Fraction(cuts[i], L), Fraction(cuts[i + 1], L)) for i in vec]
+        vol = Fraction(weight, 2 * L * L)
+        for pattern in patterns:
+            low = _low_area(cut, bounds, pattern)
+            total += (vol - low) if color(cells, pattern) == 1 else low
     return total
 
 
@@ -278,17 +363,13 @@ def mu_exact(f: PiecewiseFunction, n: int, cap: int = MU_CAP) -> StatisticDistri
     ``cap`` bounds the ``C(r+n-1, n)`` run assignments walked for ``r``
     runs.
     """
-    form = step_form(f)
-    if form is None:
+    step = _step(f)
+    if step is None:
         raise InvalidInputError(
             f"generator {f.name!r} has no exact step form; use sampling instead"
         )
-    kind, obj = form
-    if kind == "grid":
-        res, color = obj.m, lambda cells, pattern: obj.get(cells)
-    else:
-        res, color = obj.parts, obj.color
-    weights = _induced_models(obj.runs, color, f.d, n, cap)
+    res, runs, color = step
+    weights = _induced_models(runs, color, f.d, n, cap)
     denom = res**n
     entries = tuple(
         (DiscreteModel(d=f.d, k=f.k, m=n, values=v), Fraction(w, denom))

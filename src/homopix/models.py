@@ -100,15 +100,6 @@ def cell_index(x: Fraction, parts: int) -> int:
     return -((-x.numerator * parts) // x.denominator)
 
 
-def subcell_to_cell(subcell: int, fine: int, coarse: int) -> int:
-    """Containing cell at resolution ``coarse`` of a cell at resolution ``fine``.
-
-    Requires ``coarse`` to divide ``fine``; the whole fine cell then lies in
-    one coarse cell, namely ``ceil(subcell*coarse/fine)``.
-    """
-    return -((-subcell * coarse) // fine)
-
-
 def index_tuples(m: int, d: int) -> Iterator[tuple[int, ...]]:
     """All tuples of ``[m]^d`` in row-major order (last index fastest)."""
     return itertools.product(range(1, m + 1), repeat=d)

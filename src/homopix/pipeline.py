@@ -17,13 +17,14 @@ from .functions import PiecewiseFunction, homogeneous_function, resolution
 from .homogeneity import HomogeneousSpec, consistent_pairs
 from .inlay import Box, sample_random_inlay
 from .measure import (
+    CELL_CAP,
     StatisticDistribution,
-    box_color_measures,
+    _box_measures,
     distance_exact,
     mu_exact,
     mu_sample,
 )
-from .models import DiscreteModel, index_tuples
+from .models import DiscreteModel
 from .sampling import substream
 from .substructure import enumerate_substructures
 
@@ -36,14 +37,18 @@ BOX_SCAN_DEPTH = 3
 def quantize(f: PiecewiseFunction, parts: int) -> HomogeneousSpec:
     """Best order-free spec at the given resolution: each grid box takes the
     color of maximum exact measure inside it, ties broken toward the
-    smallest color index.  All patterns of a box share its color."""
+    smallest color index.  All patterns of a box share its color.
+
+    One refinement at the step form's runs and the ``parts`` cell ends
+    gives every box's measures; more than ``CELL_CAP`` merged cells (or
+    boxes of a threshold) visited raise ``CapExceededError``."""
     if parts < 1:
         raise InvalidInputError("parts must be >= 1")
-    box_colors: dict[tuple[int, ...], int] = {}
-    for cells in index_tuples(parts, f.d):
-        measures = box_color_measures(f, cells, parts)
-        best = max(sorted(measures), key=lambda c: measures[c])
-        box_colors[cells] = best
+    _, boxes = _box_measures(f, parts, CELL_CAP)
+    box_colors = {
+        cells: max(sorted(measures), key=measures.__getitem__)
+        for cells, measures in boxes.items()
+    }
     table = {
         (cells, pattern): box_colors[cells]
         for cells, pattern in consistent_pairs(parts, f.d)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Any, Mapping
+from typing import Any, Mapping, Sequence
 
 from .errors import ModelFormatError
 from .functions import (
@@ -26,7 +26,7 @@ from .homogeneity import HomogeneousSpec
 from .inlay import Box, InlaySelection
 from .measure import MonteCarloEstimate, SampleReport, StatisticDistribution
 from .models import DiscreteModel
-from .pipeline import PixelationCertificate
+from .pipeline import CertificateTable, PixelationCertificate
 from .ramsey import SortedColoring
 
 FORMAT_VERSION = 1
@@ -293,9 +293,11 @@ def box_to_json(box: Box) -> dict:
     }
 
 
-def certificate_to_json(cert: PixelationCertificate) -> dict:
-    tables = []
-    for table in cert.tables:
+def certificate_tables_to_json(tables: Sequence[CertificateTable]) -> list[dict]:
+    """Certification tables: one row per substructure with its exact
+    probability, or its sampled count and trials."""
+    out = []
+    for table in tables:
         rows = []
         for entry in table.entries:
             row = {"model": model_to_json(entry.model)}
@@ -305,7 +307,12 @@ def certificate_to_json(cert: PixelationCertificate) -> dict:
                 row["count"] = entry.count
                 row["trials"] = entry.trials
             rows.append(row)
-        tables.append({"n": table.n, "entries": rows})
+        out.append({"n": table.n, "entries": rows})
+    return out
+
+
+def certificate_to_json(cert: PixelationCertificate) -> dict:
+    tables = certificate_tables_to_json(cert.tables)
     out = {
         "l": cert.parts,
         "s": cert.size,

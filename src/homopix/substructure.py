@@ -31,31 +31,29 @@ def _search(r: DiscreteModel, s: DiscreteModel, weak: bool) -> tuple[int, ...] |
     by_max: list[list[tuple[tuple[int, ...], int]]] = [[] for _ in range(n + 1)]
     for idx in r.tuples():
         by_max[max(idx)].append((idx, r.get(idx)))
+    # Depth-first in lexicographic order with an explicit stack: ``chosen``
+    # is the current prefix and ``j`` the next candidate for its next slot.
     chosen: list[int] = []
-
-    def extend(pos: int) -> tuple[int, ...] | None:
+    j = 1
+    while True:
+        pos = len(chosen)
         if pos == n:
             return tuple(chosen)
-        if weak:
-            lo = chosen[-1] if chosen else 1
-            hi = m
-        else:
-            lo = chosen[-1] + 1 if chosen else 1
-            hi = m - (n - pos - 1)
-        for j in range(lo, hi + 1):
-            chosen.append(j)
-            ok = all(
-                s.get(tuple(chosen[i - 1] for i in idx)) == color
-                for idx, color in by_max[pos + 1]
-            )
-            if ok:
-                found = extend(pos + 1)
-                if found is not None:
-                    return found
+        hi = m if weak else m - (n - pos - 1)
+        if j > hi:
+            if not chosen:
+                return None
+            j = chosen.pop() + 1
+            continue
+        chosen.append(j)
+        if not all(
+            s.get(tuple(chosen[i - 1] for i in idx)) == color
+            for idx, color in by_max[pos + 1]
+        ):
             chosen.pop()
-        return None
-
-    return extend(0)
+            j += 1
+        elif not weak:
+            j += 1
 
 
 def appears_in_discrete(r: DiscreteModel, s: DiscreteModel) -> tuple[int, ...] | None:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm, prod
 
 from homopix import (
     DiscreteModel,
@@ -20,7 +20,9 @@ from homopix import (
     generator,
     grid_function,
     homogeneous_function,
+    resolution,
 )
+from homopix.measure import threshold_low_measure
 from homopix.models import index_tuples, order_pattern
 
 
@@ -47,6 +49,30 @@ def rand_function(rng: random.Random, d: int, k: int):
         "random_homogeneous",
         {"l": rng.randrange(1, 4), "d": d, "k": k, "seed": rng.randrange(10_000)},
     )
+
+
+def refine(spec: HomogeneousSpec, t: int) -> HomogeneousSpec:
+    """The same function as ``spec``, tabulated at ``parts * t``."""
+    table = {
+        (cells, pattern): spec.color(tuple(-((-c) // t) for c in cells), pattern)
+        for cells, pattern in consistent_pairs(spec.parts * t, spec.d)
+    }
+    return HomogeneousSpec.from_table(spec.parts * t, spec.d, spec.k, table)
+
+
+def duplicated_grid(rng: random.Random, d: int, k: int) -> DiscreteModel:
+    """A random grid whose rows/columns are repeated 1-3 times each."""
+    base_side = rng.randrange(1, 4)
+    base = [rng.randrange(1, k + 1) for _ in range(base_side**d)]
+    axis = [c for c in range(base_side) for _ in range(rng.randrange(1, 4))]
+    m = len(axis)
+    values = []
+    for idx in index_tuples(m, d):
+        pos = 0
+        for i in idx:
+            pos = pos * base_side + axis[i - 1]
+        values.append(base[pos])
+    return DiscreteModel(d=d, k=k, m=m, values=tuple(values))
 
 
 # ---------------------------------------------------------------------------
@@ -118,6 +144,71 @@ def naive_mu(f, n: int, res: int) -> dict[tuple[int, ...], Fraction]:
         )
         out[values] = out.get(values, Fraction(0)) + weight
     return out
+
+
+def naive_regions(res: int, d: int):
+    """Every strict-order region of every cell of the ``res``-grid, as
+    ``(cells, pattern, volume, point)`` with an explicit point inside it."""
+    for cells in index_tuples(res, d):
+        ties = prod(factorial(cells.count(c)) for c in set(cells))
+        for pattern in itertools.permutations(range(1, d + 1)):
+            if any(
+                cells[i] < cells[j] and pattern[i] > pattern[j]
+                for i in range(d)
+                for j in range(d)
+            ):
+                continue
+            point = tuple(
+                Fraction(c - 1, res) + Fraction(r, res * (d + 1))
+                for c, r in zip(cells, pattern)
+            )
+            yield cells, pattern, Fraction(1, res**d * ties), point
+
+
+def naive_distance(f, g) -> Fraction:
+    """Disagreement measure at the ``lcm`` of both step resolutions, or at
+    the stepped side's resolution against a threshold, region by region."""
+    rf, rg = resolution(f), resolution(g)
+    if rf is not None and rg is not None:
+        return sum(
+            (
+                vol
+                for _, _, vol, point in naive_regions(lcm(rf, rg), f.d)
+                if evaluate(f, point) != evaluate(g, point)
+            ),
+            Fraction(0),
+        )
+    stepped, th = (f, g) if rf is not None else (g, f)
+    cut = th.param("c")
+    res = resolution(stepped)
+    total = Fraction(0)
+    for cells, pattern, vol, point in naive_regions(res, 2):
+        low = threshold_low_measure(cut, cells, pattern, res)
+        total += (vol - low) if evaluate(stepped, point) == 1 else low
+    return total
+
+
+def naive_quantize(f, parts: int) -> HomogeneousSpec:
+    """Box colors of maximum measure (smallest color on ties), measured at
+    ``lcm(res, parts)``; a threshold's boxes are split by exact areas."""
+    measures: dict = {}
+    res = resolution(f)
+    if res is None:
+        for cells in index_tuples(parts, f.d):
+            low = threshold_low_measure(f.param("c"), cells, None, parts)
+            measures[cells] = {1: low, 2: Fraction(1, parts**2) - low}
+    else:
+        fine = lcm(res, parts)
+        for cells, _, vol, point in naive_regions(fine, f.d):
+            box = tuple(-((-c * parts) // fine) for c in cells)
+            color = evaluate(f, point)
+            box_measures = measures.setdefault(box, {})
+            box_measures[color] = box_measures.get(color, 0) + vol
+    table = {}
+    for cells, pattern in consistent_pairs(parts, f.d):
+        box_measures = measures[cells]
+        table[cells, pattern] = max(sorted(box_measures), key=box_measures.get)
+    return HomogeneousSpec.from_table(parts, f.d, f.k, table)
 
 
 def naive_find_inlay(model: DiscreteModel, parts: int, size: int):

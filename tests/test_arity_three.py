@@ -17,7 +17,7 @@ from homopix import (
     mu_exact,
     evaluate,
 )
-from homopix.measure import strict_regions
+from homopix.measure import _strict_patterns
 from conftest import naive_mu, rand_spec
 
 
@@ -54,9 +54,8 @@ def test_evaluate_arity_three():
 
 def test_strict_regions_partition_arity_three():
     for cells in itertools.combinations_with_replacement((1, 2, 3), 3):
-        regions = list(strict_regions(cells, 3))
-        assert sum(v for _, v in regions) == Fraction(1, 27)
-        patterns = [p for p, _ in regions]
+        patterns, ties = _strict_patterns(cells)
+        assert len(patterns) * Fraction(1, 27 * ties) == Fraction(1, 27)
         assert len(set(patterns)) == len(patterns)
         assert all(sorted(p) == [1, 2, 3] for p in patterns)
 

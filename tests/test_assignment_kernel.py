@@ -18,32 +18,7 @@ from homopix import (
     mu_exact,
 )
 from homopix.functions import step_form
-from homopix.models import index_tuples
-from conftest import naive_mu, rand_spec
-
-
-def refine(spec: HomogeneousSpec, t: int) -> HomogeneousSpec:
-    """The same function as ``spec``, tabulated at ``parts * t``."""
-    table = {
-        (cells, pattern): spec.color(tuple(-((-c) // t) for c in cells), pattern)
-        for cells, pattern in consistent_pairs(spec.parts * t, spec.d)
-    }
-    return HomogeneousSpec.from_table(spec.parts * t, spec.d, spec.k, table)
-
-
-def duplicated_grid(rng: random.Random, d: int, k: int) -> DiscreteModel:
-    """A random grid whose rows/columns are repeated 1-3 times each."""
-    base_side = rng.randrange(1, 4)
-    base = [rng.randrange(1, k + 1) for _ in range(base_side**d)]
-    axis = [c for c in range(base_side) for _ in range(rng.randrange(1, 4))]
-    m = len(axis)
-    values = []
-    for idx in index_tuples(m, d):
-        pos = 0
-        for i in idx:
-            pos = pos * base_side + axis[i - 1]
-        values.append(base[pos])
-    return DiscreteModel(d=d, k=k, m=m, values=tuple(values))
+from conftest import duplicated_grid, naive_mu, rand_spec, refine
 
 
 def grid_as_spec(model: DiscreteModel) -> HomogeneousSpec:

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 from contextlib import redirect_stdout
@@ -140,6 +141,32 @@ def test_certify_exit_codes(order_file, tmp_path):
     assert code in (0, 1)
     if report["result"]["verdict"] == "fail":
         assert code == 1
+
+
+def test_certify_report_bytes(tmp_path, monkeypatch):
+    # sha256 of the whole report, exact and empirical mode; relative paths
+    # keep the echoed config fixed.  Recorded before the command shared the
+    # certificate table serializer with certificate_to_json.
+    monkeypatch.chdir(tmp_path)
+    invoke("gen", "--kind", "generator", "--name", "order_function", "--out", "order.json")
+    invoke(
+        "gen", "--kind", "generator", "--name", "threshold",
+        "--params", '{"c": "1"}', "--out", "th.json",
+    )
+    _, flat = invoke_json("quantize", "--in", "order.json", "--l", "2")
+    (tmp_path / "spec.json").write_text(json.dumps(flat["result"]))
+    expected = {
+        "order.json": "ff7e986ce5f02a518b66773aa2e19b0c42fd5d78f1972fffab6dceb69bc3f4cd",
+        "th.json": "08517c857d78cc38652cfec492a9ec478c5264f4a29ce1a342a56a930dfdd671",
+    }
+    extra = {"order.json": [], "th.json": ["--trials", "50", "--seed", "5"]}
+    for against, digest in expected.items():
+        code, out = invoke(
+            "certify", "--in", "spec.json", "--against", against, "--nmax", "2",
+            *extra[against],
+        )
+        assert code == 1
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_check_homog_failure_exit(tmp_path):

@@ -19,7 +19,7 @@ from homopix import (
     mu_exact,
     mu_sample,
 )
-from homopix.measure import box_color_measures, strict_regions, threshold_low_measure
+from homopix.measure import _strict_patterns, box_color_measures, threshold_low_measure
 from conftest import naive_mu, rand_function, rand_spec
 
 ORDER = generator("order_function")
@@ -58,15 +58,18 @@ def test_distance_mismatch_errors():
 def test_strict_regions_partition_box():
     for cells in [(1, 1), (1, 2), (2, 2, 2), (1, 1, 2)]:
         res = 2
-        regions = list(strict_regions(cells, res))
-        assert sum(v for _, v in regions) == Fraction(1, res ** len(cells))
+        patterns, ties = _strict_patterns(cells)
+        # each pattern's region is an equal res^-d / ties share of the box
+        assert len(patterns) * Fraction(1, res ** len(cells) * ties) == Fraction(
+            1, res ** len(cells)
+        )
         groups = {}
         for pos, c in enumerate(cells):
             groups.setdefault(c, []).append(pos)
         expected = 1
         for g in groups.values():
             expected *= factorial(len(g))
-        assert len(regions) == expected
+        assert len(patterns) == ties == expected
 
 
 def test_mu_exact_two_cell_line():

@@ -89,6 +89,18 @@ def test_appears_matches_naive_oracle(weak):
         assert search(r, s) == naive_appears(r, s, weak)
 
 
+def test_appears_deep_needle_without_recursion_error():
+    # one search level per needle position: a side of 1200 is deeper than
+    # the interpreter's default recursion limit
+    m = 1200
+    const = DiscreteModel(d=1, k=1, m=m, values=(1,) * m)
+    assert appears_in_discrete(const, const) == tuple(range(1, m + 1))
+    assert appears_weak(const, const) == (1,) * m
+    tail = DiscreteModel(d=1, k=2, m=m, values=(1,) * (m - 1) + (2,))
+    ones = DiscreteModel(d=1, k=2, m=m, values=(1,) * m)
+    assert appears_in_discrete(tail, ones) is None
+
+
 def test_enumerate_substructures_examples():
     assert [m.values for m in enumerate_substructures(ORDER_SPEC, 2)] == [
         (2, 1, 3, 2)
