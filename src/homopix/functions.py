@@ -24,6 +24,7 @@ from typing import Mapping, Sequence
 from .errors import InvalidInputError
 from .homogeneity import HomogeneousSpec, consistent_pairs
 from .models import MAX_SIDE, DiscreteModel, order_pattern
+from .sampling import DYADIC_BITS
 
 GENERATOR_NAMES = (
     "order_function",
@@ -33,6 +34,8 @@ GENERATOR_NAMES = (
 )
 
 MAX_DYADIC_DEPTH = 13  # 2**13 < MAX_SIDE
+
+_WORD_CELLS_KEPT = 4096  # cell vectors whose colors a word colorer keeps
 
 
 @dataclass(frozen=True)
@@ -171,13 +174,65 @@ def step_form(f: PiecewiseFunction):
     return None
 
 
+@lru_cache(maxsize=None)
+def _step(f: PiecewiseFunction):
+    """``(res, runs, color, ordered)`` of the exact step form, or None
+    (threshold): its resolution, the last cell of every run, and
+    ``color(cells, pattern)``, which reads the order pattern only when
+    ``ordered`` (a spec) and ignores it on a grid.  The one place that
+    reads :func:`step_form`'s ``"grid"``/``"spec"`` tag."""
+    form = step_form(f)
+    if form is None:
+        return None
+    kind, obj = form
+    if kind == "grid":
+        return obj.m, obj.runs, obj.color, False
+    return obj.parts, obj.runs, obj.color, True
+
+
 def resolution(f: PiecewiseFunction) -> int | None:
     """Grid resolution of the exact step form, or None if there is none."""
-    backing = step_form(f)
-    if backing is None:
-        return None
-    kind, obj = backing
-    return obj.m if kind == "grid" else obj.parts
+    step = _step(f)
+    return None if step is None else step[0]
+
+
+def _word_colorer(f: PiecewiseFunction, shapes):
+    """Exact colors of ``f`` at sampled points, from their integer words.
+
+    A sampled coordinate is ``u/2^64`` for an integer ``u`` in
+    ``[1, 2^64]`` (see :mod:`homopix.sampling`).  ``shapes`` holds
+    ``(pos, pattern)`` pairs.  Returns ``colors(us)``: for each shape, the
+    color at the point with coordinates ``us[p]/2^64`` for ``p`` in
+    ``pos``, where ``pattern`` must be that point's order pattern.  The
+    decisions are those of :func:`evaluate` at ``Fraction(u, 2^64)``, made
+    on the integers: the cell ``ceil(res*u/2^64)`` is ``-((-res*u) >> 64)``,
+    and ``x1 + x2 <= c`` for ``c = p/q`` is ``(u1 + u2)*q <= p*2^64``.  On
+    a step form the colors depend only on the cells of ``us``; the recent
+    cell vectors keep theirs (a bounded cache, so memory does not grow
+    with the trials).
+    """
+    step = _step(f)
+    if step is None:  # threshold, the one input without a step form
+        c = f.param("c")
+        den, bound = c.denominator, c.numerator << DYADIC_BITS
+        pairs = [pos for pos, _ in shapes]
+
+        def colors(us):
+            return tuple([1 if (us[i] + us[j]) * den <= bound else 2 for i, j in pairs])
+
+        return colors
+    res, _, color, _ = step
+
+    @lru_cache(maxsize=_WORD_CELLS_KEPT)
+    def by_cells(cells):
+        return tuple(
+            [color(tuple([cells[p] for p in pos]), pattern) for pos, pattern in shapes]
+        )
+
+    def colors(us):
+        return by_cells(tuple([-((-res * u) >> DYADIC_BITS) for u in us]))
+
+    return colors
 
 
 def evaluate(f: PiecewiseFunction, point: Sequence[Fraction]) -> int:
@@ -199,12 +254,6 @@ def evaluate(f: PiecewiseFunction, point: Sequence[Fraction]) -> int:
         xs.append(x)
     if f.kind == "generator" and f.name == "threshold":
         return 1 if xs[0] + xs[1] <= f.param("c") else 2
-    kind, obj = step_form(f)
-    if kind == "grid":
-        m = obj.m
-        return obj.get(
-            tuple(-((-x.numerator * m) // x.denominator) for x in xs)
-        )
-    parts = obj.parts
-    cells = tuple(-((-x.numerator * parts) // x.denominator) for x in xs)
-    return obj.color(cells, order_pattern(xs))
+    res, _, color, ordered = _step(f)
+    cells = tuple(-((-x.numerator * res) // x.denominator) for x in xs)
+    return color(cells, order_pattern(xs) if ordered else None)

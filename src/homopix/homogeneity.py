@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from math import comb
 from typing import Iterator, Mapping
 
 from .errors import InvalidInputError, NotHomogeneousError
@@ -34,16 +35,38 @@ SpecKey = tuple[tuple[int, ...], tuple[int, ...]]
 MAX_SPEC_CELLS = 1_000_000
 
 
+def _check_spec_cells(parts: int, d: int) -> None:
+    if parts**d > MAX_SPEC_CELLS:
+        raise InvalidInputError(f"{parts}^{d} cells exceeds spec cap")
+
+
 def consistent_pairs(parts: int, d: int) -> Iterator[SpecKey]:
     """All (cell vector, pattern) pairs a spec table must cover, in
     lexicographic order."""
-    if parts**d > MAX_SPEC_CELLS:
-        raise InvalidInputError(f"{parts}^{d} cells exceeds spec cap")
+    _check_spec_cells(parts, d)
     patterns = all_order_patterns(d)
     for cells in index_tuples(parts, d):
         for p in patterns:
             if pattern_consistent(cells, p):
                 yield cells, p
+
+
+def _pair_count(parts: int, d: int) -> int:
+    """How many pairs :func:`consistent_pairs` yields, in closed form.
+
+    Coordinates of one rank share a cell, since a smaller cell forces a
+    smaller rank, so a consistent pair is a weak order with ``r`` ranks
+    (``r! S(d, r)`` of them, by inclusion-exclusion) and a nondecreasing
+    choice of cells for its ranks (``C(parts + r - 1, r)``).  Summed by cell
+    vector instead, this is the product of the ordered Bell numbers of the
+    tie-group sizes.
+    """
+    _check_spec_cells(parts, d)
+    return sum(
+        comb(parts + r - 1, r)
+        * sum((-1) ** (r - j) * comb(r, j) * j**d for j in range(r + 1))
+        for r in range(1, d + 1)
+    )
 
 
 @dataclass(frozen=True)
@@ -93,7 +116,9 @@ class HomogeneousSpec:
             if (cells, pattern) in table:
                 raise InvalidInputError(f"duplicate entry for {cells}/{pattern}")
             table[cells, pattern] = color
-        expected = sum(1 for _ in consistent_pairs(self.parts, self.d))
+        # every entry is in range, consistent and unique, so counting the
+        # pairs is enough for totality
+        expected = _pair_count(self.parts, self.d)
         if len(table) != expected:
             raise InvalidInputError(
                 f"table has {len(table)} entries, needs {expected} for totality"

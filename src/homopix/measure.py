@@ -1,9 +1,13 @@
 """Exact rational distance and statistic distributions, with seeded
-Monte Carlo cross-checks.
+Monte Carlo estimates.
 
-All semantics-bearing values are exact fractions.  The Monte Carlo variants
-exist purely as statistical cross-checks of the exact oracles; they never
-feed certification verdicts.
+All semantics-bearing values are exact fractions or exact counts.  For
+inputs with an exact step form the Monte Carlo variants are statistical
+cross-checks of the exact oracles.  ``threshold`` has no step form, so its
+certification is empirical: ``pipeline.certify`` decides ``consistent`` or
+``fail`` from the :func:`mu_sample` counts.  Both samplers color the
+integer words of their points (``functions._word_colorer``), so each count
+is the one exact evaluation at those points would give.
 """
 
 from __future__ import annotations
@@ -15,9 +19,9 @@ from math import factorial, lcm, prod, sqrt
 from typing import Mapping
 
 from .errors import CapExceededError, InvalidInputError
-from .functions import PiecewiseFunction, evaluate, step_form
+from .functions import PiecewiseFunction, _step, _word_colorer
 from .models import DiscreteModel, index_tuples, order_pattern
-from .sampling import dyadic_unit, sorted_distinct, substream
+from .sampling import _sorted_words, _unit_words, substream
 from .substructure import _induced_models
 
 MU_CAP = 1_000_000
@@ -171,18 +175,6 @@ def _regions(d, cuts, reps):
         )
 
 
-def _step(f: PiecewiseFunction):
-    """``(res, runs, color)`` of the exact step form, or None (threshold);
-    ``color(cells, pattern)`` ignores the pattern on a grid."""
-    form = step_form(f)
-    if form is None:
-        return None
-    kind, obj = form
-    if kind == "grid":
-        return obj.m, obj.runs, lambda cells, pattern: obj.get(cells)
-    return obj.parts, obj.runs, obj.color
-
-
 # ---------------------------------------------------------------------------
 # exact geometry for the diagonal threshold generator (d = 2)
 
@@ -248,7 +240,7 @@ def _box_measures(
         raise CapExceededError(f"{parts**f.d} boxes exceed cap {cap}")
     step = _step(f)
     if step is not None:
-        res, runs, color = step
+        res, runs, color, _ = step
         L, _, regions = _refine([(res, runs), (parts, range(1, parts + 1))], f.d, cap)
         out: dict = {}
         for _, (cells, box_cells), patterns, weight in regions:
@@ -301,7 +293,7 @@ def distance_exact(
     if sf is None and sg is None:
         raise InvalidInputError("neither side has an exact step form")
     if sf is not None and sg is not None:
-        (rf, runs_f, color_f), (rg, runs_g, color_g) = sf, sg
+        (rf, runs_f, color_f, _), (rg, runs_g, color_g, _) = sf, sg
         L, _, regions = _refine([(rf, runs_f), (rg, runs_g)], f.d, cell_cap)
         differ = 0
         for _, (cells_f, cells_g), patterns, weight in regions:
@@ -309,7 +301,7 @@ def distance_exact(
                 if color_f(cells_f, pattern) != color_g(cells_g, pattern):
                     differ += weight
         return Fraction(differ, L**f.d * factorial(f.d))
-    (res, runs, color), other = (sf, g) if sf is not None else (sg, f)
+    (res, runs, color, _), other = (sf, g) if sf is not None else (sg, f)
     if not (other.kind == "generator" and other.name == "threshold"):
         raise InvalidInputError(f"generator {other.name!r} has no exact step form")
     cut = other.param("c")
@@ -330,17 +322,26 @@ def distance_mc(
     """Fraction of uniformly sampled points where evaluations differ.
 
     Deterministic given the seed; per-trial substreams keep the result
-    independent of any parallel evaluation order.
+    independent of any parallel evaluation order.  Each point is ``d``
+    integer words, ranked and colored on both sides as integers.
     """
     if f.d != g.d or f.k != g.k:
         raise InvalidInputError("dimension/color mismatch")
     if trials < 1:
         raise InvalidInputError("trials must be >= 1")
+    pos = tuple(range(f.d))
+    by_pattern = {}  # both colorers for the points of one order pattern
     differ = 0
     for t in range(trials):
-        rng = substream(seed, t)
-        point = tuple(dyadic_unit(rng) for _ in range(f.d))
-        if evaluate(f, point) != evaluate(g, point):
+        us = _unit_words(substream(seed, t), f.d)
+        pattern = order_pattern(us)
+        pair = by_pattern.get(pattern)
+        if pair is None:
+            shapes = ((pos, pattern),)
+            pair = by_pattern[pattern] = (
+                _word_colorer(f, shapes), _word_colorer(g, shapes)
+            )
+        if pair[0](us) != pair[1](us):
             differ += 1
     p = Fraction(differ, trials)
     stderr = sqrt(float(p) * (1.0 - float(p)) / trials)
@@ -368,7 +369,7 @@ def mu_exact(f: PiecewiseFunction, n: int, cap: int = MU_CAP) -> StatisticDistri
         raise InvalidInputError(
             f"generator {f.name!r} has no exact step form; use sampling instead"
         )
-    res, runs, color = step
+    res, runs, color, _ = step
     weights = _induced_models(runs, color, f.d, n, cap)
     denom = res**n
     entries = tuple(
@@ -380,20 +381,25 @@ def mu_exact(f: PiecewiseFunction, n: int, cap: int = MU_CAP) -> StatisticDistri
 
 def mu_sample(f: PiecewiseFunction, n: int, trials: int, seed: int) -> SampleReport:
     """Sampled counterpart of :func:`mu_exact`: draws ``n`` uniforms, sorts
-    them (exact collisions are redrawn), and tallies the induced models."""
+    them (exact collisions are redrawn), and tallies the induced models.
+
+    The points are sorted and distinct, so the order pattern of the point
+    at an index tuple is that of the tuple itself, computed once; each
+    trial colors its ``n`` integer words."""
     if trials < 1:
         raise InvalidInputError("trials must be >= 1")
     if n < 1:
         raise InvalidInputError("n must be >= 1")
-    shapes = list(index_tuples(n, f.d))
+    colors = _word_colorer(
+        f,
+        [
+            (tuple(i - 1 for i in idx), order_pattern(idx))
+            for idx in index_tuples(n, f.d)
+        ],
+    )
     counts: dict[tuple[int, ...], int] = {}
-    zero, one = Fraction(0), Fraction(1)
     for t in range(trials):
-        rng = substream(seed, t)
-        xs = sorted_distinct(rng, n, zero, one)
-        values = tuple(
-            evaluate(f, tuple(xs[i - 1] for i in idx)) for idx in shapes
-        )
+        values = colors(_sorted_words(substream(seed, t), n))
         counts[values] = counts.get(values, 0) + 1
     tallies = tuple(
         (DiscreteModel(d=f.d, k=f.k, m=n, values=v), c)

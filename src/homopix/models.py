@@ -132,6 +132,21 @@ def _grid_runs(values: tuple[int, ...], m: int, d: int) -> tuple[int, ...]:
     return tuple(ends)
 
 
+def _dense_entries(d: int, k: int, m: int) -> int:
+    """The ``m^d`` entries of a dense ``[m]^d -> [k]`` table, once the
+    arity, color count, side and entry count are within their caps."""
+    if not 1 <= d <= MAX_ARITY:
+        raise InvalidInputError(f"arity d={d} outside [1, {MAX_ARITY}]")
+    if not 1 <= k <= MAX_COLORS:
+        raise InvalidInputError(f"color count k={k} outside [1, {MAX_COLORS}]")
+    if not 1 <= m <= MAX_SIDE:
+        raise InvalidInputError(f"side m={m} outside [1, {MAX_SIDE}]")
+    total = m**d
+    if total > MAX_DENSE_ENTRIES:
+        raise InvalidInputError(f"dense table of {total} entries exceeds cap")
+    return total
+
+
 @dataclass(frozen=True)
 class DiscreteModel:
     """A total function ``[m]^d -> [k]`` stored densely in row-major order."""
@@ -145,15 +160,7 @@ class DiscreteModel:
     )
 
     def __post_init__(self):
-        if not 1 <= self.d <= MAX_ARITY:
-            raise InvalidInputError(f"arity d={self.d} outside [1, {MAX_ARITY}]")
-        if not 1 <= self.k <= MAX_COLORS:
-            raise InvalidInputError(f"color count k={self.k} outside [1, {MAX_COLORS}]")
-        if not 1 <= self.m <= MAX_SIDE:
-            raise InvalidInputError(f"side m={self.m} outside [1, {MAX_SIDE}]")
-        total = self.m**self.d
-        if total > MAX_DENSE_ENTRIES:
-            raise InvalidInputError(f"dense table of {total} entries exceeds cap")
+        total = _dense_entries(self.d, self.k, self.m)
         if len(self.values) != total:
             raise InvalidInputError(
                 f"value table has {len(self.values)} entries, expected {total}"
@@ -176,6 +183,11 @@ class DiscreteModel:
         """Color at a 1-based index tuple."""
         return self.values[self.flat_index(idx)]
 
+    def color(self, cells: Sequence[int], pattern=None) -> int:
+        """Color of the grid step function on a cell vector; the order
+        pattern is ignored (the step-form signature shared with specs)."""
+        return self.values[self.flat_index(cells)]
+
     def tuples(self) -> Iterator[tuple[int, ...]]:
         return index_tuples(self.m, self.d)
 
@@ -193,5 +205,6 @@ class DiscreteModel:
 
     @classmethod
     def from_function(cls, d: int, k: int, m: int, fn) -> "DiscreteModel":
+        _dense_entries(d, k, m)  # reject before fn runs on m^d entries
         values = tuple(fn(idx) for idx in index_tuples(m, d))
         return cls(d=d, k=k, m=m, values=values)

@@ -177,10 +177,7 @@ def find_multisort(
             picked.pop()
         return None
 
-    result = extend(0, [])
-    if result is None:
-        return None
-    return result
+    return extend(0, [])
 
 
 # ---------------------------------------------------------------------------

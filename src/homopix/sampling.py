@@ -6,6 +6,14 @@ reproducible from its seed.  Batch operations derive one substream per item
 from ``(seed, index)``, so results never depend on evaluation order or worker
 count.  Substreams are counter-based (BLAKE2b over seed, index, counter),
 which keeps them platform-stable and cheap to create per trial.
+
+A coordinate drawn from the 64-bit word ``w`` is ``u/2^64`` with the integer
+``u = w + 1`` in ``[1, 2^64]``.  The statistic samplers (``mu_sample``,
+``distance_mc``) never build that ``Fraction``: they take the words ``u``
+from :func:`_sorted_words` and color them in integer arithmetic
+(``functions._word_colorer``), which makes the same decisions as
+``evaluate`` at ``u/2^64``.  :func:`sorted_distinct` maps the same words
+onto a window, so the redraw rule lives in one place.
 """
 
 from __future__ import annotations
@@ -13,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from hashlib import blake2b
 
-from .errors import SearchBudgetError
+from .errors import InvalidInputError, SearchBudgetError
 
 DYADIC_BITS = 64
 _DYADIC_DEN = 1 << DYADIC_BITS
@@ -68,16 +76,32 @@ def dyadic_in(rng: Substream, lo: Fraction, hi: Fraction) -> Fraction:
     return lo + (hi - lo) * Fraction(rng.getrandbits(DYADIC_BITS) + 1, _DYADIC_DEN)
 
 
-def sorted_distinct(
-    rng: Substream, n: int, lo: Fraction, hi: Fraction
-) -> tuple[Fraction, ...]:
-    """``n`` sorted, pairwise-distinct uniforms in ``(lo, hi]``.
+def _unit_words(rng: Substream, n: int) -> list[int]:
+    """The next ``n`` words ``w`` of ``rng`` as the integers ``u = w + 1`` in
+    ``[1, 2^64]``, in draw order: the coordinates ``u/2^64``."""
+    word = rng.word
+    return [word() + 1 for _ in range(n)]
+
+
+def _sorted_words(rng: Substream, n: int) -> list[int]:
+    """``n`` sorted, pairwise-distinct words from :func:`_unit_words`.
 
     Exact collisions are a probability ~``n^2/2^64`` event; the whole batch
     is redrawn when one occurs so the result stays distribution-correct.
     """
     for _ in range(_MAX_REDRAWS):
-        draws = [dyadic_in(rng, lo, hi) for _ in range(n)]
-        if len(set(draws)) == n:
-            return tuple(sorted(draws))
+        us = sorted(_unit_words(rng, n))
+        if len(set(us)) == n:
+            return us
     raise SearchBudgetError("exceeded redraw budget for distinct samples")
+
+
+def sorted_distinct(
+    rng: Substream, n: int, lo: Fraction, hi: Fraction
+) -> tuple[Fraction, ...]:
+    """``n`` sorted, pairwise-distinct uniforms in ``(lo, hi]``: the words of
+    :func:`_sorted_words` mapped to ``lo + (hi - lo) * u/2^64``."""
+    if not lo < hi:
+        raise InvalidInputError(f"empty window ({lo}, {hi}]")
+    span = hi - lo
+    return tuple(lo + span * Fraction(u, _DYADIC_DEN) for u in _sorted_words(rng, n))

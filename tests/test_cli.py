@@ -169,6 +169,51 @@ def test_certify_report_bytes(tmp_path, monkeypatch):
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_sample_and_distance_mc_report_bytes(tmp_path, monkeypatch):
+    # sha256 of whole `sample` and `distance --mc` reports on a threshold,
+    # specs, a dyadic grid and a 2-D grid.  Recorded while the samplers
+    # still evaluated Fraction points, before they colored integer words.
+    monkeypatch.chdir(tmp_path)
+    gen = {
+        "order.json": ("order_function", None),
+        "th.json": ("threshold", '{"c": "3/4"}'),
+        "dy.json": ("dyadic_alternating", '{"depth_cap": 3}'),
+        "rh.json": ("random_homogeneous", '{"l": 2, "d": 2, "k": 3, "seed": 4}'),
+    }
+    for out, (name, params) in gen.items():
+        extra = ["--params", params] if params else []
+        invoke("gen", "--kind", "generator", "--name", name, *extra, "--out", out)
+    (tmp_path / "grid.json").write_text(json.dumps({
+        "format_version": 1, "kind": "grid", "d": 2, "k": 2, "m": 3,
+        "values": [1, 2, 2, 1, 1, 2, 2, 2, 1],
+    }))
+    expected = {
+        "sample th.json 3 2000 7":
+            "e89ae60bd550ea370ab426e8b7fffc7a89a221b8536448c87d51db671035bf14",
+        "sample order.json 3 1000 3":
+            "f674721e3bd09f6b1c878d7eb3917dc8a817f87f7411bfe7be18f0c98a5eb732",
+        "sample dy.json 2 2000 1":
+            "ec92d13d9cd842d844749cbdca484db7a975fb79702f13860e196c11048fe38d",
+        "sample rh.json 2 1000 2":
+            "7224e2d46b4197724b751be8a114549354ca88eed791e9c8fd02adee37482638",
+        "sample grid.json 2 1000 4":
+            "8dccbd1504057f46f1414ac955a2065308b1904d66563f0cc4433d11ef415544",
+        "distance th.json grid.json 3000 5":
+            "9c425df73aa916d453a8508de411a88ec4629153cce4503a6bf27693d1839ebe",
+        "distance order.json rh.json 3000 6":
+            "a4547e8fb0904c21d9ffa5eeda491c7b122ec6bdc4aac0da7808966f52f6e201",
+    }
+    for case, digest in expected.items():
+        command, first, second, trials, seed = case.split()
+        if command == "sample":
+            argv = ["sample", "--in", first, "--n", second]
+        else:
+            argv = ["distance", "--mc", "--in", first, "--in2", second]
+        code, out = invoke(*argv, "--trials", trials, "--seed", seed)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, case
+
+
 def test_check_homog_failure_exit(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(

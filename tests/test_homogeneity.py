@@ -16,6 +16,7 @@ from homopix import (
     flatten_order_dependency,
     instantiate,
 )
+from homopix.homogeneity import _pair_count
 from conftest import naive_compatible, rand_spec
 
 ORDER_SPEC = comparison_spec(1)
@@ -134,6 +135,14 @@ def test_spec_totality_enforced():
     table[((1, 2), (2, 1))] = 1  # pattern contradicts the cell order
     with pytest.raises(InvalidInputError, match="inconsistent"):
         HomogeneousSpec.from_table(2, 2, 2, table)
+
+
+def test_pair_count_closed_form_matches_enumeration():
+    for parts in range(1, 7):
+        for d in range(1, 5):
+            assert _pair_count(parts, d) == sum(1 for _ in consistent_pairs(parts, d))
+    with pytest.raises(InvalidInputError, match="spec cap"):
+        _pair_count(1001, 2)
 
 
 def test_enumerate_specs_count():

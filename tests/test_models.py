@@ -153,6 +153,16 @@ def test_model_invariants():
         DiscreteModel(d=5, k=2, m=2, values=(1,) * 32)
 
 
+def test_from_function_checks_caps_before_calling_fn():
+    def never(idx):
+        raise AssertionError(f"fn called at {idx}")
+
+    # 72^4 = 26.9 M entries, an arity past the cap, an empty side
+    for d, m, message in ((4, 72, "exceeds cap"), (5, 2, "arity"), (1, 0, "side")):
+        with pytest.raises(InvalidInputError, match=message):
+            DiscreteModel.from_function(d, 2, m, never)
+
+
 def test_model_json_roundtrip():
     rng = random.Random(3)
     model = DiscreteModel(
