@@ -8,13 +8,21 @@ segment) and restricts the source to the selected grid.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from bisect import bisect_left
+from collections import Counter
+from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import InvalidInputError, NotHomogeneousError, SearchBudgetError
-from .functions import PiecewiseFunction, evaluate
-from .homogeneity import HomogeneousSpec, check_homogeneous
-from .models import DiscreteModel, order_pattern
+from .errors import InvalidInputError, SearchBudgetError
+from .functions import PiecewiseFunction, _step, evaluate
+from .homogeneity import HomogeneousSpec
+from .models import (
+    DiscreteModel,
+    _dense_entries,
+    all_order_patterns,
+    cell_index,
+    order_pattern,
+)
 from .sampling import sorted_distinct, substream
 
 _BOUNDARY_REDRAWS = 1000
@@ -70,15 +78,36 @@ class Box:
 
 @dataclass(frozen=True)
 class InlaySample:
-    """A sampled continuous inlay plus its extracted spec when homogeneous."""
+    """A sampled continuous inlay of ``source`` plus its extracted spec when
+    homogeneous.
+
+    ``model``, the dense ``[size*parts]^d`` inlay, is evaluated entry by
+    entry on first read and then kept: the spec never needs it.
+    """
 
     selection: InlaySelection
-    model: DiscreteModel
     spec: HomogeneousSpec | None
+    source: PiecewiseFunction = field(repr=False)
+    _model: DiscreteModel | None = field(
+        init=False, repr=False, compare=False, default=None
+    )
 
     @property
     def homogeneous(self) -> bool:
         return self.spec is not None
+
+    @property
+    def model(self) -> DiscreteModel:
+        if self._model is None:
+            f = self.source
+            coords = _coordinates(self.selection.blocks)
+
+            def entry(idx):
+                return evaluate(f, tuple(coords[i - 1] for i in idx))
+
+            model = DiscreteModel.from_function(f.d, f.k, len(coords), entry)
+            object.__setattr__(self, "_model", model)
+        return self._model
 
 
 def extract_inlay(model: DiscreteModel, selection: InlaySelection) -> DiscreteModel:
@@ -155,6 +184,87 @@ def find_homogeneous_inlay(
     return extend()
 
 
+def _coordinates(blocks: tuple[tuple[Fraction, ...], ...]) -> list[Fraction]:
+    # block a's window maps into the a-th grid cell, so the flattened
+    # coordinate list is globally increasing
+    parts = len(blocks)
+    return [(a + x) / parts for a, block in enumerate(blocks) for x in block]
+
+
+def _run_tuples(block: tuple[int, ...], q: int) -> list[tuple[int, ...]]:
+    """The distinct run tuples that ``q`` increasing points of one block can
+    take: the ``q``-element sub-multisets of its nondecreasing ``block``."""
+    counts = Counter(block)
+    return [
+        t
+        for t in itertools.combinations_with_replacement(sorted(counts), q)
+        if all(t.count(v) <= counts[v] for v in t)
+    ]
+
+
+def _inlay_spec(
+    f: PiecewiseFunction, parts: int, size: int, coords: list[Fraction]
+) -> HomogeneousSpec | None:
+    """The spec of the dense inlay of ``f`` at the globally increasing
+    ``coords`` (``size`` per block), or None when that inlay is not
+    ``parts``-part homogeneous; decided without the dense model.
+
+    A pair (cells, pattern) gives each block ``a`` in ``cells`` the ``q``
+    ranks of the pattern that fall in it, and an entry of the pair takes ``q``
+    increasing points of block ``a`` for them.  On a step form the color
+    reads a point only through the last cell of its run, so each block
+    supplies the distinct run tuples of :func:`_run_tuples` (exactly one
+    when all its points share a run) and every product of those is colored
+    once.  ``threshold``'s test ``x1 + x2 <= c`` is monotone in each
+    coordinate, so each block supplies only its ``q`` smallest and ``q``
+    largest points: the extreme sums of the pair decide it.  The pair is
+    homogeneous iff all its supplied colors agree.
+    """
+    d = f.d
+    step = _step(f)
+    if step is None:  # threshold, the one input without a step form
+        c = f.param("c")
+        values = coords
+
+        def color(point, pattern):
+            return 1 if point[0] + point[1] <= c else 2
+
+        def supply(block, q):
+            return {block[:q], block[-q:]}
+
+    else:
+        res, runs, color, _ = step
+        values = [runs[bisect_left(runs, cell_index(x, res))] for x in coords]
+        supply = _run_tuples
+    blocks = [tuple(values[a * size : (a + 1) * size]) for a in range(parts)]
+    supplied: dict[tuple[int, int], tuple] = {}
+    table = {}
+    # a consistent pair is a pattern with r ranks and a nondecreasing choice
+    # of cells for its ranks
+    for r in range(1, d + 1):
+        patterns = [p for p in all_order_patterns(d) if max(p) == r]
+        for rank_cells in itertools.combinations_with_replacement(
+            range(1, parts + 1), r
+        ):
+            choices = []
+            for cell, group in itertools.groupby(rank_cells):
+                key = (cell, len(tuple(group)))
+                if key not in supplied:
+                    supplied[key] = tuple(supply(blocks[cell - 1], key[1]))
+                choices.append(supplied[key])
+            by_rank = [sum(pick, ()) for pick in itertools.product(*choices)]
+            for pattern in patterns:
+                seen = {
+                    color(tuple([ranked[p - 1] for p in pattern]), pattern)
+                    for ranked in by_rank
+                }
+                if len(seen) > 1:
+                    return None
+                cells = tuple([rank_cells[p - 1] for p in pattern])
+                table[cells, pattern] = seen.pop()
+    return HomogeneousSpec.from_table(parts, d, f.k, table)
+
+
 def sample_random_inlay(
     f: PiecewiseFunction,
     parts: int,
@@ -164,9 +274,14 @@ def sample_random_inlay(
     index: int = 0,
     avoid_resolution: int | None = None,
 ) -> InlaySample:
-    """Draw ``size`` sorted uniforms per block window and evaluate the
-    induced model over ``[size*parts]^d``.
+    """Draw ``size`` sorted uniforms per block window and extract the spec of
+    the induced model over ``[size*parts]^d`` when it is homogeneous.
 
+    The spec is decided at run level (:func:`_inlay_spec`): every
+    coordinate is mapped to the last cell of its run of ``f``, each block
+    supplies only its distinct run tuples (threshold: its extreme points),
+    and the first disagreement stops the check, so no entry of the dense
+    model is evaluated; ``InlaySample.model`` builds that model on demand.
     Deterministic per ``(seed, index)``; batches pass consecutive indices so
     samples are independent of evaluation order.  With ``avoid_resolution``
     set, selections whose mapped coordinates land exactly on that grid's
@@ -178,17 +293,14 @@ def sample_random_inlay(
         raise InvalidInputError(f"size {size} smaller than arity {f.d}")
     if len(box.lower) != parts:
         raise InvalidInputError(f"box has {len(box.lower)} windows, expected {parts}")
+    _dense_entries(f.d, f.k, size * parts)  # the dense inlay's caps
     rng = substream(seed, index)
     for _ in range(_BOUNDARY_REDRAWS):
         blocks = tuple(
             sorted_distinct(rng, size, box.lower[a], box.upper[a])
             for a in range(parts)
         )
-        # block a's window maps into the a-th grid cell, so the flattened
-        # coordinate list is globally increasing
-        coords = [
-            (a + x) / parts for a, block in enumerate(blocks) for x in block
-        ]
+        coords = _coordinates(blocks)
         if avoid_resolution is not None and any(
             (x * avoid_resolution).denominator == 1 for x in coords
         ):
@@ -196,15 +308,8 @@ def sample_random_inlay(
         break
     else:
         raise SearchBudgetError("exceeded redraw budget for boundary avoidance")
-
-    def entry(idx):
-        return evaluate(f, tuple(coords[i - 1] for i in idx))
-
-    model = DiscreteModel.from_function(f.d, f.k, size * parts, entry)
-    try:
-        spec = check_homogeneous(model, parts)
-    except NotHomogeneousError:
-        spec = None
     return InlaySample(
-        selection=InlaySelection(blocks=blocks), model=model, spec=spec
+        selection=InlaySelection(blocks=blocks),
+        spec=_inlay_spec(f, parts, size, coords),
+        source=f,
     )

@@ -15,7 +15,7 @@ from math import ceil, comb
 from .errors import InvalidInputError, SearchBudgetError
 from .functions import PiecewiseFunction, homogeneous_function, resolution
 from .homogeneity import HomogeneousSpec, consistent_pairs
-from .inlay import Box, sample_random_inlay
+from .inlay import Box, InlaySample, sample_random_inlay
 from .measure import (
     CELL_CAP,
     StatisticDistribution,
@@ -60,12 +60,20 @@ def quantize(f: PiecewiseFunction, parts: int) -> HomogeneousSpec:
 class CloseCandidate:
     """One homogeneous inlay found by the candidate search."""
 
-    model: DiscreteModel
-    spec: HomogeneousSpec
+    inlay: InlaySample
     distance: Fraction
     within_bound: bool  # satisfies the 2*d(F,G) + C(d,2)/l guarantee
     trial: int
     box: Box
+
+    @property
+    def spec(self) -> HomogeneousSpec:
+        return self.inlay.spec
+
+    @property
+    def model(self) -> DiscreteModel:
+        """The dense inlay model, built on first read."""
+        return self.inlay.model
 
 
 def _dyadic_windows(depth: int) -> list[tuple[Fraction, Fraction]]:
@@ -121,8 +129,7 @@ def iter_close_candidates(
         seen.add(sample.spec)
         dist = distance_exact(f, homogeneous_function(sample.spec))
         yield CloseCandidate(
-            model=sample.model,
-            spec=sample.spec,
+            inlay=sample,
             distance=dist,
             within_bound=dist <= bound,
             trial=trial,

@@ -1,19 +1,20 @@
 """Seeded dyadic-rational sampling.
 
-All randomized operations draw 64-bit dyadic rationals so that every sampled
-coordinate is an exact ``Fraction`` in ``(0, 1]`` and every run is bit-exactly
-reproducible from its seed.  Batch operations derive one substream per item
-from ``(seed, index)``, so results never depend on evaluation order or worker
-count.  Substreams are counter-based (BLAKE2b over seed, index, counter),
-which keeps them platform-stable and cheap to create per trial.
+Every randomized operation draws 64-bit words.  A coordinate drawn from the
+word ``w`` is the dyadic rational ``u/2^64`` with the integer ``u = w + 1``
+in ``[1, 2^64]``, so every sampled coordinate is exact and every run is
+bit-exactly reproducible from its seed.  Batch operations derive one
+substream per item from ``(seed, index)``, so results never depend on
+evaluation order or worker count.  Substreams are counter-based (BLAKE2b
+over seed, index, counter), which keeps them platform-stable and cheap to
+create per trial.
 
-A coordinate drawn from the 64-bit word ``w`` is ``u/2^64`` with the integer
-``u = w + 1`` in ``[1, 2^64]``.  The statistic samplers (``mu_sample``,
-``distance_mc``) never build that ``Fraction``: they take the words ``u``
-from :func:`_sorted_words` and color them in integer arithmetic
+The statistic samplers (``mu_sample``, ``distance_mc``) never build the
+``Fraction`` ``u/2^64``: they take the words ``u`` from
+:func:`_sorted_words` and color them in integer arithmetic
 (``functions._word_colorer``), which makes the same decisions as
 ``evaluate`` at ``u/2^64``.  :func:`sorted_distinct` maps the same words
-onto a window, so the redraw rule lives in one place.
+onto a window for the inlay sampler, so the redraw rule lives in one place.
 """
 
 from __future__ import annotations
@@ -64,16 +65,6 @@ class Substream:
 def substream(seed: int, index: int) -> Substream:
     """Deterministic per-item stream derived from a base seed and an index."""
     return Substream(seed, index)
-
-
-def dyadic_unit(rng: Substream) -> Fraction:
-    """One uniform dyadic rational in ``(0, 1]``."""
-    return Fraction(rng.getrandbits(DYADIC_BITS) + 1, _DYADIC_DEN)
-
-
-def dyadic_in(rng: Substream, lo: Fraction, hi: Fraction) -> Fraction:
-    """One uniform dyadic-grid point in ``(lo, hi]``."""
-    return lo + (hi - lo) * Fraction(rng.getrandbits(DYADIC_BITS) + 1, _DYADIC_DEN)
 
 
 def _unit_words(rng: Substream, n: int) -> list[int]:

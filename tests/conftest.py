@@ -15,6 +15,8 @@ from math import factorial, lcm, prod
 from homopix import (
     DiscreteModel,
     HomogeneousSpec,
+    NotHomogeneousError,
+    check_homogeneous,
     consistent_pairs,
     evaluate,
     generator,
@@ -223,6 +225,26 @@ def naive_find_inlay(model: DiscreteModel, parts: int, size: int):
         if naive_is_homogeneous(sub, parts):
             return sel, sub
     return None
+
+
+def naive_inlay_spec(f, selection) -> HomogeneousSpec | None:
+    """The dense inlay path: evaluate ``f`` at every entry of the
+    ``[size*parts]^d`` model of a sampled selection (block ``a``'s points
+    mapped to ``(a + x)/parts``), then ``check_homogeneous``; None when that
+    model is not ``parts``-part homogeneous."""
+    parts = selection.parts
+    coords = [
+        (a + x) / parts for a, block in enumerate(selection.blocks) for x in block
+    ]
+
+    def entry(idx):
+        return evaluate(f, tuple(coords[i - 1] for i in idx))
+
+    model = DiscreteModel.from_function(f.d, f.k, len(coords), entry)
+    try:
+        return check_homogeneous(model, parts)
+    except NotHomogeneousError:
+        return None
 
 
 def naive_mono(vertices, colors, d: int, size: int):

@@ -214,6 +214,57 @@ def test_sample_and_distance_mc_report_bytes(tmp_path, monkeypatch):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, case
 
 
+def test_inlay_sample_and_appclose_report_bytes(tmp_path, monkeypatch):
+    # sha256 of whole `inlay-sample` and `appclose` reports, the two that
+    # print a dense inlay model, on grids, specs, generators and threshold,
+    # homogeneous and not.  Recorded while sample_random_inlay still
+    # evaluated every entry of the dense model to decide homogeneity.
+    monkeypatch.chdir(tmp_path)
+    gen = {
+        "order.json": ("order_function", None),
+        "th.json": ("threshold", '{"c": "3/4"}'),
+        "dy.json": ("dyadic_alternating", '{"depth_cap": 3}'),
+        "rh.json": ("random_homogeneous", '{"l": 2, "d": 2, "k": 3, "seed": 4}'),
+    }
+    for out, (name, params) in gen.items():
+        extra = ["--params", params] if params else []
+        invoke("gen", "--kind", "generator", "--name", name, *extra, "--out", out)
+    (tmp_path / "grid.json").write_text(json.dumps({
+        "format_version": 1, "kind": "grid", "d": 2, "k": 2, "m": 3,
+        "values": [1, 1, 2, 1, 1, 2, 2, 2, 2],
+    }))
+    expected = {
+        "inlay-sample --in grid.json --l 3 --s 2 --seed 1":
+            "61e1d1a3d1aebae921c4b608e5c16e4f308dacee9709209dea897608cbbd3779",
+        "inlay-sample --in grid.json --l 2 --s 2 --seed 6":
+            "9dd0989e5f765b9812cb696ff1dcd004eefe359ad6c3b3dbcea00756234bb379",
+        "inlay-sample --in th.json --l 2 --s 2 --seed 2":
+            "75ff91dda4ae08752fb9333260437b2d3be723b4afe37539f85efd8bd94e59c7",
+        "inlay-sample --in th.json --l 2 --s 2 --seed 4":
+            "6b1aca992164f18b99e85b062b976881adfa1d1fe40c99e724874fc4c497cb33",
+        "inlay-sample --in dy.json --l 2 --s 2 --seed 1":
+            "f1081e83baadd21d208fdba1529c650a6903dda7202268e70dce44a7e1f5d7e3",
+        "inlay-sample --in rh.json --l 2 --s 3 --seed 3 --index 5":
+            "f6e6b37ed03587da4d052ac861482b430478ecf769524f5c19369f95726bddd6",
+        "inlay-sample --in dy.json --l 2 --s 2 --seed 4 --alpha 0,1/2 --beta 1/2,1":
+            "fd78f580fec37a89ee77635870fd1038aeb4aa045fdcf9b827382b2f163eabdf",
+        "inlay-sample --in order.json --l 1 --s 3 --seed 5":
+            "6e55b4a2e9da5b763ace3381b3097ce9822131563c606567e8e45dab3ad7cb67",
+        "appclose --in order.json --l 2 --s 2 --trials 4 --seed 3":
+            "bbb6cfb62ff2bde1926bb39d3640964b27aca882cb900d934ed0d7311f12241f",
+        "appclose --in grid.json --l 3 --s 2 --trials 6 --seed 1":
+            "96690075db889b0b47714ecc477ba3fd660d7b514efa183248c975a298d18c95",
+        "appclose --in th.json --l 3 --s 2 --trials 8 --seed 2 --box-strategy dyadic":
+            "eb667d949a48faa6b958b871e42c67f030d4ac045540d42b69d744278e5d6db9",
+        "appclose --in rh.json --l 2 --s 2 --trials 4 --seed 5":
+            "66eaada7ce08f1e125bf6f0c9cc3238918b094df01dfa88e8a11fa2b0d1309b7",
+    }
+    for case, digest in expected.items():
+        code, out = invoke(*case.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, case
+
+
 def test_check_homog_failure_exit(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(
