@@ -42,13 +42,17 @@ def _check_spec_cells(parts: int, d: int) -> None:
 
 def consistent_pairs(parts: int, d: int) -> Iterator[SpecKey]:
     """All (cell vector, pattern) pairs a spec table must cover, in
-    lexicographic order."""
+    lexicographic order; the patterns are listed once per order pattern
+    (shape) of the cell vector, which alone decides them."""
     _check_spec_cells(parts, d)
     patterns = all_order_patterns(d)
+    fits: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     for cells in index_tuples(parts, d):
-        for p in patterns:
-            if pattern_consistent(cells, p):
-                yield cells, p
+        shape = order_pattern(cells)
+        if shape not in fits:
+            fits[shape] = [p for p in patterns if pattern_consistent(shape, p)]
+        for p in fits[shape]:
+            yield cells, p
 
 
 def _pair_count(parts: int, d: int) -> int:

@@ -12,6 +12,7 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from .errors import InvalidInputError, SearchBudgetError
 from .functions import PiecewiseFunction, _step, evaluate
@@ -217,17 +218,20 @@ def _inlay_spec(
     when all its points share a run) and every product of those is colored
     once.  ``threshold``'s test ``x1 + x2 <= c`` is monotone in each
     coordinate, so each block supplies only its ``q`` smallest and ``q``
-    largest points: the extreme sums of the pair decide it.  The pair is
-    homogeneous iff all its supplied colors agree.
+    largest points: the extreme sums of the pair decide it, as integers over
+    one common denominator.  The pair is homogeneous iff all its colors agree.
     """
     d = f.d
     step = _step(f)
     if step is None:  # threshold, the one input without a step form
         c = f.param("c")
-        values = coords
+        # x_i + x_j <= p/q iff (N_i + N_j) * q <= p * D for x_i = N_i / D
+        D = lcm(*(x.denominator for x in coords))
+        values = [x.numerator * (D // x.denominator) for x in coords]
+        q, top = c.denominator, c.numerator * D
 
         def color(point, pattern):
-            return 1 if point[0] + point[1] <= c else 2
+            return 1 if (point[0] + point[1]) * q <= top else 2
 
         def supply(block, q):
             return {block[:q], block[-q:]}

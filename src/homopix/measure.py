@@ -3,7 +3,8 @@ Monte Carlo estimates.
 
 All semantics-bearing values are exact fractions or exact counts.  For
 inputs with an exact step form the Monte Carlo variants are statistical
-cross-checks of the exact oracles.  ``threshold`` has no step form, so its
+cross-checks of the exact oracles.  ``threshold`` has no step form; its
+box areas have a closed form (:func:`_low_numerator`), but its
 certification is empirical: ``pipeline.certify`` decides ``consistent`` or
 ``fail`` from the :func:`mu_sample` counts.  Both samplers color the
 integer words of their points (``functions._word_colorer``), so each count
@@ -20,7 +21,7 @@ from typing import Mapping
 
 from .errors import CapExceededError, InvalidInputError
 from .functions import PiecewiseFunction, _step, _word_colorer
-from .models import DiscreteModel, index_tuples, order_pattern
+from .models import DiscreteModel, index_tuples, order_pattern, pattern_consistent
 from .sampling import _sorted_words, _unit_words, substream
 from .substructure import _induced_models
 
@@ -176,62 +177,44 @@ def _regions(d, cuts, reps):
 
 
 # ---------------------------------------------------------------------------
-# exact geometry for the diagonal threshold generator (d = 2)
+# exact areas for the diagonal threshold generator (d = 2)
 
-def _clip_halfplane(poly, a: Fraction, b: Fraction, rhs: Fraction):
-    # Sutherland-Hodgman step: keep a*x + b*y <= rhs, exact rationals.
-    out = []
-    n = len(poly)
-    for i in range(n):
-        px, py = poly[i]
-        qx, qy = poly[(i + 1) % n]
-        fp = a * px + b * py - rhs
-        fq = a * qx + b * qy - rhs
-        if fp <= 0:
-            out.append((px, py))
-        if (fp < 0 < fq) or (fq < 0 < fp):
-            t = fp / (fp - fq)
-            out.append((px + t * (qx - px), py + t * (qy - py)))
-    return out
-
-
-def _polygon_area(poly) -> Fraction:
-    total = Fraction(0)
-    n = len(poly)
-    for i in range(n):
-        x1, y1 = poly[i]
-        x2, y2 = poly[(i + 1) % n]
-        total += x1 * y2 - x2 * y1
-    return abs(total) / 2
-
-
-def _low_area(cut: Fraction, bounds, pattern: tuple[int, int] | None) -> Fraction:
-    # area of {x1 + x2 <= cut} in the box ``bounds``, or in one pattern's half
-    (a1, b1), (a2, b2) = bounds
-    poly = [(a1, a2), (b1, a2), (b1, b2), (a1, b2)]
-    if pattern == (1, 2):  # x1 < x2
-        poly = _clip_halfplane(poly, Fraction(1), Fraction(-1), Fraction(0))
-    elif pattern == (2, 1):  # x2 < x1
-        poly = _clip_halfplane(poly, Fraction(-1), Fraction(1), Fraction(0))
-    return _polygon_area(_clip_halfplane(poly, Fraction(1), Fraction(1), cut))
+def _low_numerator(top: int, q: int, lo1: int, hi1: int, lo2: int, hi2: int) -> int:
+    """``2*(q*L)^2`` times the area of ``{x1 + x2 <= p/q}`` in the box
+    ``[lo1, hi1] x [lo2, hi2]``, with corners in units of ``1/L`` and
+    ``top = p*L``: inclusion-exclusion on ``G(t) = max(t, 0)^2 / 2``, the
+    area of ``{u + v <= t}`` for ``u, v >= 0``, over the integer corner
+    values ``top - q*(x1 + x2)``."""
+    total = 0
+    for s, sign in ((lo1 + lo2, 1), (hi1 + lo2, -1), (lo1 + hi2, -1), (hi1 + hi2, 1)):
+        t = top - q * s
+        if t > 0:
+            total += sign * t * t
+    return total
 
 
 def threshold_low_measure(
     cut: Fraction, cells: tuple[int, int], pattern: tuple[int, int] | None, res: int
 ) -> Fraction:
     """Area of ``{x1 + x2 <= cut}`` inside a grid box, optionally restricted
-    to one strict-order half of it."""
-    bounds = [(Fraction(c - 1, res), Fraction(c, res)) for c in cells]
-    return _low_area(cut, bounds, pattern)
+    to one strict-order half of it.  A diagonal box and the line are both
+    symmetric under swapping ``x1`` and ``x2``, so each half holds half the
+    area; an off-diagonal box lies wholly in one half."""
+    if pattern and (pattern[0] == pattern[1] or not pattern_consistent(cells, pattern)):
+        return Fraction(0)  # the tie line, or the half the box misses
+    (c1, c2), q = cells, cut.denominator
+    low = _low_numerator(cut.numerator * res, q, c1 - 1, c1, c2 - 1, c2)
+    return Fraction(low, (4 if pattern and c1 == c2 else 2) * (q * res) ** 2)
 
 
 def _box_measures(
     f: PiecewiseFunction, parts: int, cap: int
-) -> tuple[int, dict[tuple[int, ...], dict[int, Fraction | int]]]:
+) -> tuple[int, dict[tuple[int, ...], dict[int, int]]]:
     """Measure of each color in each box of the ``parts``-grid, as
     numerators over the returned denominator.
 
-    A step form is refined once at its runs and the ``parts`` cell ends;
+    A step form is refined once at its runs and the ``parts`` cell ends; a
+    threshold ``c = p/q`` is measured in closed form, over ``2*(parts*q)^2``.
     ``cap`` bounds the merged cells, or the threshold boxes, visited.  Every
     box holds at least one merged cell, so more than ``cap`` boxes raise
     before anything is built.
@@ -250,12 +233,13 @@ def _box_measures(
                 measures[c] = measures.get(c, 0) + weight
         return L**f.d * factorial(f.d), out
     if f.kind == "generator" and f.name == "threshold":
-        size = Fraction(1, parts**2)
+        cut = f.param("c")
+        top, q = cut.numerator * parts, cut.denominator
         out = {}
-        for cells in index_tuples(parts, 2):
-            low = threshold_low_measure(f.param("c"), cells, None, parts)
-            out[cells] = {1: low, 2: size - low}
-        return 1, out
+        for c1, c2 in index_tuples(parts, 2):
+            low = _low_numerator(top, q, c1 - 1, c1, c2 - 1, c2)
+            out[c1, c2] = {1: low, 2: 2 * q * q - low}
+        return 2 * (parts * q) ** 2, out
     raise InvalidInputError(f"generator {f.name!r} has no exact measure oracle")
 
 
@@ -280,10 +264,11 @@ def distance_exact(
     Both arguments must expose an exact step form, except that one side may
     be the threshold generator.  Two step forms are refined once at the
     union of their run ends (see :func:`_refine`), where each merged region
-    has one color on either side; against a threshold each merged box of
-    the stepped side is clipped as a polygon, the diagonal ones in halves
-    by pattern.  ``cell_cap`` bounds the ``m^d`` merged cells visited.  Tie
-    regions have measure zero and contribute nothing.
+    has one color on either side; against a threshold ``c = p/q`` each
+    merged box of the stepped side is measured in closed form, a diagonal
+    one half per pattern, into one integer over ``4*(L*q)^2``.  ``cell_cap``
+    bounds the ``m^d`` merged cells visited.  Tie regions have measure zero
+    and contribute nothing.
     """
     if f.d != g.d or f.k != g.k:
         raise InvalidInputError("dimension/color mismatch")
@@ -306,14 +291,16 @@ def distance_exact(
         raise InvalidInputError(f"generator {other.name!r} has no exact step form")
     cut = other.param("c")
     L, cuts, regions = _refine([(res, runs)], 2, cell_cap)
-    total = Fraction(0)
-    for vec, (cells,), patterns, weight in regions:
-        bounds = [(Fraction(cuts[i], L), Fraction(cuts[i + 1], L)) for i in vec]
-        vol = Fraction(weight, 2 * L * L)
+    top, q = cut.numerator * L, cut.denominator
+    vol_scale = 2 * q * q  # a weight over 2*L^2, rescaled to 4*(L*q)^2
+    differ = 0
+    for (i, j), (cells,), patterns, weight in regions:
+        low = _low_numerator(top, q, cuts[i], cuts[i + 1], cuts[j], cuts[j + 1])
+        if i != j:  # over 2*(L*q)^2; a diagonal box's halves each hold half
+            low *= 2
         for pattern in patterns:
-            low = _low_area(cut, bounds, pattern)
-            total += (vol - low) if color(cells, pattern) == 1 else low
-    return total
+            differ += (weight * vol_scale - low) if color(cells, pattern) == 1 else low
+    return Fraction(differ, 4 * (L * q) ** 2)
 
 
 def distance_mc(

@@ -12,6 +12,8 @@ import random
 from fractions import Fraction
 from math import factorial, lcm, prod
 
+from hypothesis import settings
+
 from homopix import (
     DiscreteModel,
     HomogeneousSpec,
@@ -24,8 +26,12 @@ from homopix import (
     homogeneous_function,
     resolution,
 )
-from homopix.measure import threshold_low_measure
 from homopix.models import index_tuples, order_pattern
+
+# one deterministic profile: no per-example deadline on a loaded machine,
+# and the same examples drawn on every run
+settings.register_profile("homopix", deadline=None, derandomize=True)
+settings.load_profile("homopix")
 
 
 # ---------------------------------------------------------------------------
@@ -167,6 +173,52 @@ def naive_regions(res: int, d: int):
             yield cells, pattern, Fraction(1, res**d * ties), point
 
 
+def _clip_halfplane(poly, a: Fraction, b: Fraction, rhs: Fraction):
+    # Sutherland-Hodgman step: keep a*x + b*y <= rhs, exact rationals.
+    out = []
+    n = len(poly)
+    for i in range(n):
+        px, py = poly[i]
+        qx, qy = poly[(i + 1) % n]
+        fp = a * px + b * py - rhs
+        fq = a * qx + b * qy - rhs
+        if fp <= 0:
+            out.append((px, py))
+        if (fp < 0 < fq) or (fq < 0 < fp):
+            t = fp / (fp - fq)
+            out.append((px + t * (qx - px), py + t * (qy - py)))
+    return out
+
+
+def _polygon_area(poly) -> Fraction:
+    # shoelace formula
+    total = Fraction(0)
+    n = len(poly)
+    for i in range(n):
+        x1, y1 = poly[i]
+        x2, y2 = poly[(i + 1) % n]
+        total += x1 * y2 - x2 * y1
+    return abs(total) / 2
+
+
+def naive_low_area(cut, bounds, pattern=None) -> Fraction:
+    """Area of ``{x1 + x2 <= cut}`` in the box ``bounds`` (two rational
+    ``(lo, hi)`` pairs), or in its strict half ``x1 < x2`` (pattern
+    ``(1, 2)``) or ``x2 < x1`` (``(2, 1)``): the box clipped as a polygon."""
+    (a1, b1), (a2, b2) = bounds
+    poly = [(a1, a2), (b1, a2), (b1, b2), (a1, b2)]
+    one = Fraction(1)
+    if pattern == (1, 2):
+        poly = _clip_halfplane(poly, one, -one, Fraction(0))
+    elif pattern == (2, 1):
+        poly = _clip_halfplane(poly, -one, one, Fraction(0))
+    return _polygon_area(_clip_halfplane(poly, one, one, Fraction(cut)))
+
+
+def _cell_bounds(cells, res):
+    return [(Fraction(c - 1, res), Fraction(c, res)) for c in cells]
+
+
 def naive_distance(f, g) -> Fraction:
     """Disagreement measure at the ``lcm`` of both step resolutions, or at
     the stepped side's resolution against a threshold, region by region."""
@@ -185,7 +237,7 @@ def naive_distance(f, g) -> Fraction:
     res = resolution(stepped)
     total = Fraction(0)
     for cells, pattern, vol, point in naive_regions(res, 2):
-        low = threshold_low_measure(cut, cells, pattern, res)
+        low = naive_low_area(cut, _cell_bounds(cells, res), pattern)
         total += (vol - low) if evaluate(stepped, point) == 1 else low
     return total
 
@@ -197,7 +249,7 @@ def naive_quantize(f, parts: int) -> HomogeneousSpec:
     res = resolution(f)
     if res is None:
         for cells in index_tuples(parts, f.d):
-            low = threshold_low_measure(f.param("c"), cells, None, parts)
+            low = naive_low_area(f.param("c"), _cell_bounds(cells, parts))
             measures[cells] = {1: low, 2: Fraction(1, parts**2) - low}
     else:
         fine = lcm(res, parts)

@@ -265,6 +265,50 @@ def test_inlay_sample_and_appclose_report_bytes(tmp_path, monkeypatch):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, case
 
 
+def test_threshold_exact_report_bytes(tmp_path, monkeypatch):
+    # sha256 of whole exact `distance`, `quantize` and `pixelate` reports on
+    # thresholds, against a grid and a spec in both argument orders, with
+    # cuts whose denominators the grids do not divide.  Recorded while the
+    # threshold's box areas were still clipped as polygons.
+    monkeypatch.chdir(tmp_path)
+    for out, c in [("th.json", "3/4"), ("th53.json", "5/3"), ("th12.json", "1/2"),
+                   ("th43.json", "4/3")]:
+        invoke("gen", "--kind", "generator", "--name", "threshold",
+               "--params", json.dumps({"c": c}), "--out", out)
+    invoke("gen", "--kind", "homogeneous", "--d", "2", "--k", "2", "--l", "3",
+           "--seed", "4", "--out", "spec.json")
+    (tmp_path / "grid.json").write_text(json.dumps({
+        "format_version": 1, "kind": "grid", "d": 2, "k": 2, "m": 3,
+        "values": [1, 2, 2, 1, 1, 2, 2, 2, 1],
+    }))
+    expected = {
+        "distance --in th.json --in2 grid.json":
+            "6bb7268d9625aeee201ed605f25fb9051e52413a0db417a5ff270fdb2142a687",
+        "distance --in grid.json --in2 th.json":
+            "b92c52a6e766fd25ceaf38e620829148161a3d769b65fe567df877865a2bc567",
+        "distance --in th53.json --in2 spec.json":
+            "aa14551c4a4a330f606107df06d602fa2ee927e1dcbcf65e461ee20a270d1532",
+        "distance --in spec.json --in2 th.json":
+            "5af1c36ce8f96da3b782440c96b9f590f1d9dbe6b1c5bddf3afa373bb855b7b4",
+        "quantize --in th.json --l 2":
+            "126a8e36627023a603ab61797867e8edc5c09f8343687b35b6dde56a79d0d916",
+        "quantize --in th53.json --l 3":
+            "d25e3136eebae5465170b600b9f68f210bfdd17d14a2dfcd638443fb3b390c98",
+        "quantize --in th.json --l 7":
+            "9a7999cc87a7f508cbc01ce5deb5b42a9ec07900a0c41e1199857c21d0bf9220",
+        "pixelate --in th12.json --epsilon 1/2 --nmax 2 --seed 3":
+            "91242c62462845818103dfa0fbe374e29bdf41cd771ef8db99cca5b6d829d7eb",
+        "pixelate --in th43.json --epsilon 1/3 --nmax 2 --seed 1":
+            "792c3de87d9aabbca55e5e71bb363320876f2037a9c7748a3a3e04dca93bd9b6",
+        "pixelate --in th.json --epsilon 1/2 --nmax 2 --seed 2 --box-strategy dyadic":
+            "aa275cd42248e20e5bed36f4ba967822326b360114ee491011322ad62400d77b",
+    }
+    for case, digest in expected.items():
+        code, out = invoke(*case.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, case
+
+
 def test_check_homog_failure_exit(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(

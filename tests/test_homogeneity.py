@@ -17,6 +17,7 @@ from homopix import (
     instantiate,
 )
 from homopix.homogeneity import _pair_count
+from homopix.models import all_order_patterns, index_tuples, pattern_consistent
 from conftest import naive_compatible, rand_spec
 
 ORDER_SPEC = comparison_spec(1)
@@ -143,6 +144,20 @@ def test_pair_count_closed_form_matches_enumeration():
             assert _pair_count(parts, d) == sum(1 for _ in consistent_pairs(parts, d))
     with pytest.raises(InvalidInputError, match="spec cap"):
         _pair_count(1001, 2)
+
+
+def test_consistent_pairs_match_the_pattern_filter():
+    # listed once per shape of the cell vector, in the order of a plain filter
+    for parts in range(1, 7):
+        for d in range(1, 5):
+            patterns = all_order_patterns(d)
+            expected = [
+                (cells, p)
+                for cells in index_tuples(parts, d)
+                for p in patterns
+                if pattern_consistent(cells, p)
+            ]
+            assert list(consistent_pairs(parts, d)) == expected
 
 
 def test_enumerate_specs_count():

@@ -196,7 +196,7 @@ def test_distance_mc_four_sigma_over_random_pairs():
 
 
 @given(st.integers(0, 2**32))
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=20)
 def test_distance_symmetric(seed):
     rng = random.Random(seed)
     f = rand_function(rng, 2, 2)

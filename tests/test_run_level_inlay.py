@@ -72,7 +72,7 @@ def _straddles(f, sample) -> bool:
     st.booleans(),
     st.integers(0, 10_000),
 )
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 def test_run_level_spec_matches_dense_path(seed, strategy, avoid, trial):
     rng = random.Random(seed)
     f = _function(rng)
@@ -178,7 +178,7 @@ def test_pixelate_builds_no_dense_model(monkeypatch):
 
 
 @given(st.integers(0, 2**32))
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=20)
 def test_pixelate_keeps_a_unary_bit_unary(seed):
     # color - 1 = b1(x1, x2) + 2*b2(x1): bit 2 is a unary relation on x1,
     # so in g' it must read only the cell of x1

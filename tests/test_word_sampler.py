@@ -47,7 +47,7 @@ def _point(us):
 
 
 @given(st.integers(0, 2**32), st.data())
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80)
 def test_word_colorer_matches_evaluate(seed, data):
     f = _function(random.Random(seed))
     words = _words(resolution(f) or 4)
