@@ -102,16 +102,31 @@ class HomogeneousSpec:
         entries = tuple(sorted(self.entries))
         object.__setattr__(self, "entries", entries)
         table = {}
+        # the consistent patterns of a cell vector depend on its order
+        # pattern (shape) alone; sorted entries list each cell vector once
+        fits: dict[tuple[int, ...], frozenset] = {}
+        last = None
         for cells, pattern, color in entries:
             if len(cells) != self.d or len(pattern) != self.d:
                 raise InvalidInputError("entry arity mismatch")
-            if not all(1 <= c <= self.parts for c in cells):
-                raise InvalidInputError(f"cells {cells} outside [1, {self.parts}]")
-            if not is_order_pattern(pattern):
-                raise InvalidInputError(
-                    f"entry pattern {pattern} is not a dense-rank vector"
-                )
-            if not pattern_consistent(cells, pattern):
+            if cells != last:
+                if not all(1 <= c <= self.parts for c in cells):
+                    raise InvalidInputError(
+                        f"cells {cells} outside [1, {self.parts}]"
+                    )
+                shape = order_pattern(cells)
+                if shape not in fits:
+                    fits[shape] = frozenset(
+                        p
+                        for p in all_order_patterns(self.d)
+                        if pattern_consistent(shape, p)
+                    )
+                allowed, last = fits[shape], cells
+            if pattern not in allowed:
+                if not is_order_pattern(pattern):
+                    raise InvalidInputError(
+                        f"entry pattern {pattern} is not a dense-rank vector"
+                    )
                 raise InvalidInputError(
                     f"entry for inconsistent pair {cells}/{pattern}"
                 )

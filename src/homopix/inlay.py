@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
@@ -21,10 +21,9 @@ from .models import (
     DiscreteModel,
     _dense_entries,
     all_order_patterns,
-    cell_index,
     order_pattern,
 )
-from .sampling import sorted_distinct, substream
+from .sampling import DYADIC_BITS, _sorted_words, substream
 
 _BOUNDARY_REDRAWS = 1000
 
@@ -77,21 +76,58 @@ class Box:
         return cls(lower=(Fraction(0),) * parts, upper=(Fraction(1),) * parts)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False, repr=False)
 class InlaySample:
     """A sampled continuous inlay of ``source`` plus its extracted spec when
     homogeneous.
 
+    The sampler keeps its coordinates as integer numerators over one common
+    denominator (:func:`sample_random_inlay`); ``selection``, their
+    per-block rationals, is built from them on first read and then kept.
     ``model``, the dense ``[size*parts]^d`` inlay, is evaluated entry by
-    entry on first read and then kept: the spec never needs it.
+    entry on first read and then kept: the spec never needs it.  Equality
+    and hash compare ``selection``, ``spec`` and ``source``.
     """
 
-    selection: InlaySelection
     spec: HomogeneousSpec | None
-    source: PiecewiseFunction = field(repr=False)
-    _model: DiscreteModel | None = field(
-        init=False, repr=False, compare=False, default=None
-    )
+    source: PiecewiseFunction
+    _selection: InlaySelection | None
+    _draw: tuple | None  # (parts, numerators, denominator) of the coordinates
+    _model: DiscreteModel | None
+
+    def __init__(
+        self,
+        selection: InlaySelection,
+        spec: HomogeneousSpec | None,
+        source: PiecewiseFunction,
+    ):
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "_selection", selection)
+        object.__setattr__(self, "_draw", None)
+        object.__setattr__(self, "_model", None)
+
+    @classmethod
+    def _drawn(cls, parts, numerators, denominator, spec, source) -> "InlaySample":
+        sample = cls(None, spec, source)
+        object.__setattr__(sample, "_draw", (parts, numerators, denominator))
+        return sample
+
+    @property
+    def selection(self) -> InlaySelection:
+        if self._selection is None:
+            # block a's point x maps to (a + x)/parts = N/D
+            parts, numerators, D = self._draw
+            size = len(numerators) // parts
+            blocks = tuple(
+                tuple(
+                    Fraction(parts * N - a * D, D)
+                    for N in numerators[a * size : (a + 1) * size]
+                )
+                for a in range(parts)
+            )
+            object.__setattr__(self, "_selection", InlaySelection(blocks=blocks))
+        return self._selection
 
     @property
     def homogeneous(self) -> bool:
@@ -109,6 +145,20 @@ class InlaySample:
             model = DiscreteModel.from_function(f.d, f.k, len(coords), entry)
             object.__setattr__(self, "_model", model)
         return self._model
+
+    def _key(self):
+        return self.selection, self.spec, self.source
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return f"InlaySample(selection={self.selection!r}, spec={self.spec!r})"
 
 
 def extract_inlay(model: DiscreteModel, selection: InlaySelection) -> DiscreteModel:
@@ -204,11 +254,12 @@ def _run_tuples(block: tuple[int, ...], q: int) -> list[tuple[int, ...]]:
 
 
 def _inlay_spec(
-    f: PiecewiseFunction, parts: int, size: int, coords: list[Fraction]
+    f: PiecewiseFunction, parts: int, size: int, numerators: list[int], D: int
 ) -> HomogeneousSpec | None:
     """The spec of the dense inlay of ``f`` at the globally increasing
-    ``coords`` (``size`` per block), or None when that inlay is not
-    ``parts``-part homogeneous; decided without the dense model.
+    coordinates ``N/D`` for ``N`` in ``numerators`` (``size`` per block), or
+    None when that inlay is not ``parts``-part homogeneous; decided without
+    the dense model.
 
     A pair (cells, pattern) gives each block ``a`` in ``cells`` the ``q``
     ranks of the pattern that fall in it, and an entry of the pair takes ``q``
@@ -218,16 +269,15 @@ def _inlay_spec(
     when all its points share a run) and every product of those is colored
     once.  ``threshold``'s test ``x1 + x2 <= c`` is monotone in each
     coordinate, so each block supplies only its ``q`` smallest and ``q``
-    largest points: the extreme sums of the pair decide it, as integers over
-    one common denominator.  The pair is homogeneous iff all its colors agree.
+    largest points: the extreme sums of the pair decide it, as integers.
+    The pair is homogeneous iff all its colors agree.
     """
     d = f.d
     step = _step(f)
     if step is None:  # threshold, the one input without a step form
         c = f.param("c")
-        # x_i + x_j <= p/q iff (N_i + N_j) * q <= p * D for x_i = N_i / D
-        D = lcm(*(x.denominator for x in coords))
-        values = [x.numerator * (D // x.denominator) for x in coords]
+        # x_i + x_j <= p/q iff (N_i + N_j) * q <= p * D
+        values = numerators
         q, top = c.denominator, c.numerator * D
 
         def color(point, pattern):
@@ -238,7 +288,8 @@ def _inlay_spec(
 
     else:
         res, runs, color, _ = step
-        values = [runs[bisect_left(runs, cell_index(x, res))] for x in coords]
+        # the cell of N/D is ceil(res * N / D)
+        values = [runs[bisect_left(runs, -((-res * N) // D))] for N in numerators]
         supply = _run_tuples
     blocks = [tuple(values[a * size : (a + 1) * size]) for a in range(parts)]
     supplied: dict[tuple[int, int], tuple] = {}
@@ -281,11 +332,20 @@ def sample_random_inlay(
     """Draw ``size`` sorted uniforms per block window and extract the spec of
     the induced model over ``[size*parts]^d`` when it is homogeneous.
 
-    The spec is decided at run level (:func:`_inlay_spec`): every
-    coordinate is mapped to the last cell of its run of ``f``, each block
-    supplies only its distinct run tuples (threshold: its extreme points),
-    and the first disagreement stops the check, so no entry of the dense
-    model is evaluated; ``InlaySample.model`` builds that model on demand.
+    Block ``a``'s window ``(lo, hi]`` maps the sorted distinct words ``u``
+    of :func:`sampling._sorted_words` to ``lo + (hi - lo) * u/2^64``, the
+    coordinate ``(a + x)/parts`` of the inlay.  Every coordinate is kept as
+    an integer numerator ``N`` over one denominator per call,
+    ``D = parts * L * 2^64`` for ``L`` the lcm of the window denominators,
+    so the sampler builds no ``Fraction``: a cell at resolution ``res`` is
+    ``ceil(res*N/D)``, a cell end is ``res*N % D == 0``, and threshold's
+    ``x_i + x_j <= p/q`` is ``(N_i + N_j)*q <= p*D``.  The spec is decided
+    at run level (:func:`_inlay_spec`): every coordinate is mapped to the
+    last cell of its run of ``f``, each block supplies only its distinct
+    run tuples (threshold: its extreme points), and the first disagreement
+    stops the check, so no entry of the dense model is evaluated;
+    ``InlaySample.selection`` and ``InlaySample.model`` are built from the
+    numerators on demand.
     Deterministic per ``(seed, index)``; batches pass consecutive indices so
     samples are independent of evaluation order.  With ``avoid_resolution``
     set, selections whose mapped coordinates land exactly on that grid's
@@ -298,22 +358,32 @@ def sample_random_inlay(
     if len(box.lower) != parts:
         raise InvalidInputError(f"box has {len(box.lower)} windows, expected {parts}")
     _dense_entries(f.d, f.k, size * parts)  # the dense inlay's caps
+    L = lcm(*(x.denominator for x in box.lower + box.upper))
+    D = parts * L << DYADIC_BITS
+    lows, highs = (
+        [x.numerator * (L // x.denominator) for x in ends]
+        for ends in (box.lower, box.upper)
+    )
+    # with its ends scaled by L, block a maps word u to the numerator
+    # ((a*L + lo) << 64) + (hi - lo)*u
+    windows = [
+        ((a * L + lo) << DYADIC_BITS, hi - lo)
+        for a, (lo, hi) in enumerate(zip(lows, highs))
+    ]
     rng = substream(seed, index)
     for _ in range(_BOUNDARY_REDRAWS):
-        blocks = tuple(
-            sorted_distinct(rng, size, box.lower[a], box.upper[a])
-            for a in range(parts)
-        )
-        coords = _coordinates(blocks)
+        numerators = [
+            base + span * u
+            for base, span in windows
+            for u in _sorted_words(rng, size)
+        ]
         if avoid_resolution is not None and any(
-            (x * avoid_resolution).denominator == 1 for x in coords
+            avoid_resolution * N % D == 0 for N in numerators
         ):
             continue
         break
     else:
         raise SearchBudgetError("exceeded redraw budget for boundary avoidance")
-    return InlaySample(
-        selection=InlaySelection(blocks=blocks),
-        spec=_inlay_spec(f, parts, size, coords),
-        source=f,
+    return InlaySample._drawn(
+        parts, numerators, D, _inlay_spec(f, parts, size, numerators, D), f
     )

@@ -14,6 +14,7 @@ is the one exact evaluation at those points would give.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial, lcm, prod, sqrt
@@ -22,7 +23,7 @@ from typing import Mapping
 from .errors import CapExceededError, InvalidInputError
 from .functions import PiecewiseFunction, _step, _word_colorer
 from .models import DiscreteModel, index_tuples, order_pattern, pattern_consistent
-from .sampling import _sorted_words, _unit_words, substream
+from .sampling import _trial_words
 from .substructure import _induced_models
 
 MU_CAP = 1_000_000
@@ -308,9 +309,11 @@ def distance_mc(
 ) -> MonteCarloEstimate:
     """Fraction of uniformly sampled points where evaluations differ.
 
-    Deterministic given the seed; per-trial substreams keep the result
-    independent of any parallel evaluation order.  Each point is ``d``
-    integer words, ranked and colored on both sides as integers.
+    Deterministic given the seed; trial ``t`` reads the words of
+    ``substream(seed, t)`` (hashed for all trials in one loop by
+    ``sampling._trial_words``), so the result is independent of any
+    parallel evaluation order.  Each point is ``d`` integer words, ranked
+    and colored on both sides as integers.
     """
     if f.d != g.d or f.k != g.k:
         raise InvalidInputError("dimension/color mismatch")
@@ -319,8 +322,7 @@ def distance_mc(
     pos = tuple(range(f.d))
     by_pattern = {}  # both colorers for the points of one order pattern
     differ = 0
-    for t in range(trials):
-        us = _unit_words(substream(seed, t), f.d)
+    for us in _trial_words(seed, trials, f.d, distinct=False):
         pattern = order_pattern(us)
         pair = by_pattern.get(pattern)
         if pair is None:
@@ -371,8 +373,9 @@ def mu_sample(f: PiecewiseFunction, n: int, trials: int, seed: int) -> SampleRep
     them (exact collisions are redrawn), and tallies the induced models.
 
     The points are sorted and distinct, so the order pattern of the point
-    at an index tuple is that of the tuple itself, computed once; each
-    trial colors its ``n`` integer words."""
+    at an index tuple is that of the tuple itself, computed once; trial
+    ``t`` colors the ``n`` sorted integer words of ``substream(seed, t)``,
+    all hashed in one loop by ``sampling._trial_words``."""
     if trials < 1:
         raise InvalidInputError("trials must be >= 1")
     if n < 1:
@@ -384,10 +387,7 @@ def mu_sample(f: PiecewiseFunction, n: int, trials: int, seed: int) -> SampleRep
             for idx in index_tuples(n, f.d)
         ],
     )
-    counts: dict[tuple[int, ...], int] = {}
-    for t in range(trials):
-        values = colors(_sorted_words(substream(seed, t), n))
-        counts[values] = counts.get(values, 0) + 1
+    counts = Counter(map(colors, _trial_words(seed, trials, n, distinct=True)))
     tallies = tuple(
         (DiscreteModel(d=f.d, k=f.k, m=n, values=v), c)
         for v, c in sorted(counts.items())

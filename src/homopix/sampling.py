@@ -5,16 +5,23 @@ word ``w`` is the dyadic rational ``u/2^64`` with the integer ``u = w + 1``
 in ``[1, 2^64]``, so every sampled coordinate is exact and every run is
 bit-exactly reproducible from its seed.  Batch operations derive one
 substream per item from ``(seed, index)``, so results never depend on
-evaluation order or worker count.  Substreams are counter-based (BLAKE2b
-over seed, index, counter), which keeps them platform-stable and cheap to
-create per trial.
+evaluation order or worker count.  Substreams are counter-based: word
+``c`` of substream ``(seed, index)`` is BLAKE2b over the message
+``seed8 + index8 + c8`` (little-endian 64-bit fields), a pure function of
+the three that keeps the words platform-stable.  A batch of trials
+therefore needs no stream object per trial: :func:`_trial_words` hashes
+the words of ``substream(seed, t)`` for ``t = 0, 1, ...`` in one loop, from
+a hash state that has already absorbed ``seed8`` and, per trial, ``t8``.
 
 The statistic samplers (``mu_sample``, ``distance_mc``) never build the
 ``Fraction`` ``u/2^64``: they take the words ``u`` from
-:func:`_sorted_words` and color them in integer arithmetic
+:func:`_trial_words` and color them in integer arithmetic
 (``functions._word_colorer``), which makes the same decisions as
-``evaluate`` at ``u/2^64``.  :func:`sorted_distinct` maps the same words
-onto a window for the inlay sampler, so the redraw rule lives in one place.
+``evaluate`` at ``u/2^64``.  The inlay sampler maps the words of
+:func:`_sorted_words` onto its windows as integers, and
+:func:`sorted_distinct` maps them onto a window as rationals; a collision
+is redrawn by :func:`_sorted_words` alone, so the redraw rule lives in
+one place.
 """
 
 from __future__ import annotations
@@ -74,17 +81,51 @@ def _unit_words(rng: Substream, n: int) -> list[int]:
     return [word() + 1 for _ in range(n)]
 
 
-def _sorted_words(rng: Substream, n: int) -> list[int]:
+def _sorted_words(rng: Substream, n: int, drawn: int = 0) -> list[int]:
     """``n`` sorted, pairwise-distinct words from :func:`_unit_words`.
 
     Exact collisions are a probability ~``n^2/2^64`` event; the whole batch
     is redrawn when one occurs so the result stays distribution-correct.
+    ``drawn`` batches already rejected by the caller count against the
+    budget of ``_MAX_REDRAWS`` batches.
     """
-    for _ in range(_MAX_REDRAWS):
+    for _ in range(drawn, _MAX_REDRAWS):
         us = sorted(_unit_words(rng, n))
         if len(set(us)) == n:
             return us
     raise SearchBudgetError("exceeded redraw budget for distinct samples")
+
+
+def _trial_words(seed: int, trials: int, n: int, distinct: bool):
+    """Yield, for ``t`` in ``range(trials)``, the first ``n`` words ``u`` of
+    ``substream(seed, t)``: sorted and pairwise distinct as
+    :func:`_sorted_words` returns them when ``distinct``, else in draw order
+    as :func:`_unit_words` does.
+
+    The same words as one stream per trial, hashed in one loop: a BLAKE2b
+    state that has absorbed ``seed8`` is copied per trial to absorb ``t8``,
+    and that one per word to absorb ``c8``.  A batch with a collision goes
+    to :func:`_sorted_words`, which redraws from counter ``n`` on with the
+    first batch counted.
+    """
+    by_seed = blake2b((seed & _MASK64).to_bytes(8, "little"), digest_size=8)
+    counters = [c.to_bytes(8, "little") for c in range(n)]
+    from_bytes = int.from_bytes
+    for t in range(trials):
+        by_trial = by_seed.copy()
+        by_trial.update((t & _MASK64).to_bytes(8, "little"))
+        us = []
+        for c in counters:
+            h = by_trial.copy()
+            h.update(c)
+            us.append(from_bytes(h.digest(), "little") + 1)
+        if distinct:
+            us.sort()
+            if len(set(us)) < n:
+                rng = Substream(seed, t)
+                rng._counter = n
+                us = _sorted_words(rng, n, drawn=1)
+        yield us
 
 
 def sorted_distinct(

@@ -138,6 +138,31 @@ def test_spec_totality_enforced():
         HomogeneousSpec.from_table(2, 2, 2, table)
 
 
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (((1, 2), (2, 1), 1), "entry for inconsistent pair (1, 2)/(2, 1)"),
+        (((2, 1), (1, 2), 1), "entry for inconsistent pair (2, 1)/(1, 2)"),
+        (((1, 2), (1, 1), 1), "entry for inconsistent pair (1, 2)/(1, 1)"),
+        (((1, 1), (1, 3), 1), "entry pattern (1, 3) is not a dense-rank vector"),
+        (((2, 2), (2, 2), 1), "entry pattern (2, 2) is not a dense-rank vector"),
+        (((1, 2), (0, 1), 1), "entry pattern (0, 1) is not a dense-rank vector"),
+        (((1, 1), (1, 2), 2), "duplicate entry for (1, 1)/(1, 2)"),
+        (((2, 1), (2, 1), 1), "duplicate entry for (2, 1)/(2, 1)"),
+        (((1, 3), (1, 2), 1), "cells (1, 3) outside [1, 2]"),
+        (((1, 1), (1, 2, 3), 1), "entry arity mismatch"),
+        (((1, 2), (1, 2), 3), "color 3 outside [1, 2]"),
+    ],
+)
+def test_spec_entry_errors_keep_their_text(extra, message):
+    # one bad entry among the consistent pairs of parts 2, d 2; it sorts
+    # before or after the accepted entries of its cell vector
+    entries = tuple((cells, p, 1) for cells, p in consistent_pairs(2, 2))
+    with pytest.raises(InvalidInputError) as err:
+        HomogeneousSpec(parts=2, d=2, k=2, entries=entries + (extra,))
+    assert str(err.value) == message
+
+
 def test_pair_count_closed_form_matches_enumeration():
     for parts in range(1, 7):
         for d in range(1, 5):

@@ -1,18 +1,35 @@
 """The integer-word sampler: ``functions._word_colorer`` against ``evaluate``
 at the dyadic points ``u/2^64`` the words stand for, boundary words
-included, and ``sampling.sorted_distinct`` as a map of the same words."""
+included, ``sampling.sorted_distinct`` as a map of the same words, and the
+fused trial words of ``sampling._trial_words`` against one substream per
+trial, collisions and an exhausted redraw budget included."""
 
 import random
 from fractions import Fraction
+from hashlib import blake2b
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homopix import InvalidInputError, evaluate, generator, resolution
+import homopix.sampling
+from homopix import (
+    InvalidInputError,
+    SearchBudgetError,
+    evaluate,
+    generator,
+    resolution,
+)
 from homopix.functions import _word_colorer
 from homopix.models import index_tuples, order_pattern
-from homopix.sampling import _sorted_words, sorted_distinct, substream
+from homopix.sampling import (
+    _MAX_REDRAWS,
+    _sorted_words,
+    _trial_words,
+    _unit_words,
+    sorted_distinct,
+    substream,
+)
 
 from conftest import rand_function
 
@@ -101,3 +118,91 @@ def test_sorted_distinct_maps_the_sorted_words():
     assert list(points) == sorted(set(points))
     with pytest.raises(InvalidInputError):
         sorted_distinct(substream(9, 4), 2, hi, hi)
+
+
+def _per_trial(seed, trials, n, distinct):
+    draw = _sorted_words if distinct else _unit_words
+    return [draw(substream(seed, t), n) for t in range(trials)]
+
+
+@given(
+    st.one_of(st.integers(0, 2**64 - 1), st.integers(-(2**70), 2**70)),
+    st.integers(1, 40),
+    st.integers(1, 4),
+    st.booleans(),
+)
+@settings(max_examples=100)
+def test_trial_words_are_the_per_trial_words(seed, trials, n, distinct):
+    fused = list(_trial_words(seed, trials, n, distinct))
+    assert fused == _per_trial(seed, trials, n, distinct)
+
+
+class CollidingHash:
+    """A BLAKE2b stand-in whose 8-byte digests take only ``2^bits`` values,
+    so batches of words collide; it counts the digests it hands out."""
+
+    bits = 1
+    digests = 0
+
+    def __init__(self, data=b"", digest_size=8):
+        assert digest_size == 8
+        self._data = bytes(data)
+
+    def update(self, data):
+        self._data += data
+
+    def copy(self):
+        return CollidingHash(self._data)
+
+    def digest(self):
+        CollidingHash.digests += 1
+        word = int.from_bytes(blake2b(self._data, digest_size=8).digest(), "little")
+        return (word % (1 << self.bits)).to_bytes(8, "little")
+
+
+def _count_digests(monkeypatch, bits, draw):
+    monkeypatch.setattr(homopix.sampling, "blake2b", CollidingHash)
+    monkeypatch.setattr(CollidingHash, "bits", bits)
+    monkeypatch.setattr(CollidingHash, "digests", 0)
+    try:
+        result = draw()
+    except SearchBudgetError as err:
+        result = err.args
+    return result, CollidingHash.digests
+
+
+@pytest.mark.parametrize("n, bits", [(2, 1), (3, 2), (4, 3)])
+def test_collisions_redraw_as_the_per_trial_path(monkeypatch, n, bits):
+    # with 2^bits digest values, a batch of n words often collides and is
+    # redrawn from counter n on, as many times as it takes
+    for seed in (0, 7, 2**63 + 5):
+        fused = _count_digests(
+            monkeypatch, bits, lambda: list(_trial_words(seed, 60, n, True))
+        )
+        per_trial = _count_digests(
+            monkeypatch, bits, lambda: _per_trial(seed, 60, n, True)
+        )
+        assert fused == per_trial
+        assert fused[1] > 60 * n  # some batch was redrawn
+
+
+@pytest.mark.parametrize("n, bits", [(2, 0), (3, 1), (4, 1)])
+def test_exhausted_budget_after_the_same_batches(monkeypatch, n, bits):
+    # n words from fewer than n values always collide: both paths give up
+    # after _MAX_REDRAWS batches, the first one counted
+    expected = ("exceeded redraw budget for distinct samples",)
+    fused = _count_digests(
+        monkeypatch, bits, lambda: next(_trial_words(3, 5, n, True))
+    )
+    per_trial = _count_digests(
+        monkeypatch, bits, lambda: _sorted_words(substream(3, 0), n)
+    )
+    assert fused == per_trial == (expected, _MAX_REDRAWS * n)
+    # in draw order nothing is redrawn
+    fused = _count_digests(
+        monkeypatch, bits, lambda: list(_trial_words(3, 5, n, False))
+    )
+    per_trial = _count_digests(
+        monkeypatch, bits, lambda: _per_trial(3, 5, n, False)
+    )
+    assert fused == per_trial and fused[1] == 5 * n
