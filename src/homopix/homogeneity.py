@@ -13,6 +13,7 @@ table total and the compatible extension unique.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from math import comb
@@ -40,18 +41,22 @@ def _check_spec_cells(parts: int, d: int) -> None:
         raise InvalidInputError(f"{parts}^{d} cells exceeds spec cap")
 
 
+@functools.cache
+def _consistent_patterns(shape: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The patterns consistent with every cell vector of order pattern
+    ``shape``, which alone decides them, in lexicographic order.  The cache
+    holds one entry per order pattern: 92 up to arity 4."""
+    return tuple(
+        p for p in all_order_patterns(len(shape)) if pattern_consistent(shape, p)
+    )
+
+
 def consistent_pairs(parts: int, d: int) -> Iterator[SpecKey]:
     """All (cell vector, pattern) pairs a spec table must cover, in
-    lexicographic order; the patterns are listed once per order pattern
-    (shape) of the cell vector, which alone decides them."""
+    lexicographic order."""
     _check_spec_cells(parts, d)
-    patterns = all_order_patterns(d)
-    fits: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     for cells in index_tuples(parts, d):
-        shape = order_pattern(cells)
-        if shape not in fits:
-            fits[shape] = [p for p in patterns if pattern_consistent(shape, p)]
-        for p in fits[shape]:
+        for p in _consistent_patterns(order_pattern(cells)):
             yield cells, p
 
 
@@ -102,10 +107,7 @@ class HomogeneousSpec:
         entries = tuple(sorted(self.entries))
         object.__setattr__(self, "entries", entries)
         table = {}
-        # the consistent patterns of a cell vector depend on its order
-        # pattern (shape) alone; sorted entries list each cell vector once
-        fits: dict[tuple[int, ...], frozenset] = {}
-        last = None
+        last = None  # sorted entries list each cell vector once
         for cells, pattern, color in entries:
             if len(cells) != self.d or len(pattern) != self.d:
                 raise InvalidInputError("entry arity mismatch")
@@ -114,14 +116,7 @@ class HomogeneousSpec:
                     raise InvalidInputError(
                         f"cells {cells} outside [1, {self.parts}]"
                     )
-                shape = order_pattern(cells)
-                if shape not in fits:
-                    fits[shape] = frozenset(
-                        p
-                        for p in all_order_patterns(self.d)
-                        if pattern_consistent(shape, p)
-                    )
-                allowed, last = fits[shape], cells
+                allowed, last = _consistent_patterns(order_pattern(cells)), cells
             if pattern not in allowed:
                 if not is_order_pattern(pattern):
                     raise InvalidInputError(

@@ -8,10 +8,11 @@ substream per item from ``(seed, index)``, so results never depend on
 evaluation order or worker count.  Substreams are counter-based: word
 ``c`` of substream ``(seed, index)`` is BLAKE2b over the message
 ``seed8 + index8 + c8`` (little-endian 64-bit fields), a pure function of
-the three that keeps the words platform-stable.  A batch of trials
-therefore needs no stream object per trial: :func:`_trial_words` hashes
-the words of ``substream(seed, t)`` for ``t = 0, 1, ...`` in one loop, from
-a hash state that has already absorbed ``seed8`` and, per trial, ``t8``.
+the three that keeps the words platform-stable.  :func:`_prefix_states`
+absorbs the prefix ``seed8 + index8`` once per stream, and each word copies
+that state.  A batch of trials therefore needs no stream object per trial:
+:func:`_trial_words` hashes the words of ``substream(seed, t)`` for
+``t = 0, 1, ...`` in one loop.
 
 The statistic samplers (``mu_sample``, ``distance_mc``) never build the
 ``Fraction`` ``u/2^64``: they take the words ``u`` from
@@ -37,23 +38,37 @@ _MASK64 = _DYADIC_DEN - 1
 _MAX_REDRAWS = 1000
 
 
+def _field(value: int) -> bytes:
+    """``value`` as one field of a message: 8 bytes, little-endian, mod 2^64."""
+    return (value & _MASK64).to_bytes(8, "little")
+
+
+def _prefix_states(seed: int, indices):
+    """Yield, per index, the BLAKE2b state (8-byte digests) that has absorbed
+    ``seed8 + index8``, the prefix of every message of ``substream(seed,
+    index)``: word ``c`` is the digest of a copy that absorbs ``_field(c)``.
+    """
+    by_seed = blake2b(_field(seed), digest_size=8)
+    for index in indices:
+        state = by_seed.copy()
+        state.update(_field(index))
+        yield state
+
+
 class Substream:
     """Deterministic stream of 64-bit words for one ``(seed, index)`` pair."""
 
-    __slots__ = ("_prefix", "_counter")
+    __slots__ = ("_state", "_counter")
 
     def __init__(self, seed: int, index: int):
-        self._prefix = (seed & _MASK64).to_bytes(8, "little") + (
-            index & _MASK64
-        ).to_bytes(8, "little")
+        (self._state,) = _prefix_states(seed, (index,))
         self._counter = 0
 
     def word(self) -> int:
-        digest = blake2b(
-            self._prefix + self._counter.to_bytes(8, "little"), digest_size=8
-        ).digest()
+        h = self._state.copy()
+        h.update(_field(self._counter))
         self._counter += 1
-        return int.from_bytes(digest, "little")
+        return int.from_bytes(h.digest(), "little")
 
     def getrandbits(self, bits: int) -> int:
         if not 0 < bits <= DYADIC_BITS:
@@ -81,15 +96,13 @@ def _unit_words(rng: Substream, n: int) -> list[int]:
     return [word() + 1 for _ in range(n)]
 
 
-def _sorted_words(rng: Substream, n: int, drawn: int = 0) -> list[int]:
+def _sorted_words(rng: Substream, n: int) -> list[int]:
     """``n`` sorted, pairwise-distinct words from :func:`_unit_words`.
 
     Exact collisions are a probability ~``n^2/2^64`` event; the whole batch
     is redrawn when one occurs so the result stays distribution-correct.
-    ``drawn`` batches already rejected by the caller count against the
-    budget of ``_MAX_REDRAWS`` batches.
     """
-    for _ in range(drawn, _MAX_REDRAWS):
+    for _ in range(_MAX_REDRAWS):
         us = sorted(_unit_words(rng, n))
         if len(set(us)) == n:
             return us
@@ -102,29 +115,24 @@ def _trial_words(seed: int, trials: int, n: int, distinct: bool):
     :func:`_sorted_words` returns them when ``distinct``, else in draw order
     as :func:`_unit_words` does.
 
-    The same words as one stream per trial, hashed in one loop: a BLAKE2b
-    state that has absorbed ``seed8`` is copied per trial to absorb ``t8``,
-    and that one per word to absorb ``c8``.  A batch with a collision goes
-    to :func:`_sorted_words`, which redraws from counter ``n`` on with the
-    first batch counted.
+    The same words as one stream per trial, hashed in one loop with no
+    stream object: each word copies its trial's prefix state
+    (:func:`_prefix_states`) to absorb its counter.  A batch with a
+    collision is left to ``_sorted_words(substream(seed, t), n)``, which
+    draws the same batch first and then redraws from counter ``n`` on.
     """
-    by_seed = blake2b((seed & _MASK64).to_bytes(8, "little"), digest_size=8)
-    counters = [c.to_bytes(8, "little") for c in range(n)]
+    counters = [_field(c) for c in range(n)]
     from_bytes = int.from_bytes
-    for t in range(trials):
-        by_trial = by_seed.copy()
-        by_trial.update((t & _MASK64).to_bytes(8, "little"))
+    for t, state in enumerate(_prefix_states(seed, range(trials))):
         us = []
         for c in counters:
-            h = by_trial.copy()
+            h = state.copy()
             h.update(c)
             us.append(from_bytes(h.digest(), "little") + 1)
         if distinct:
             us.sort()
             if len(set(us)) < n:
-                rng = Substream(seed, t)
-                rng._counter = n
-                us = _sorted_words(rng, n, drawn=1)
+                us = _sorted_words(substream(seed, t), n)
         yield us
 
 

@@ -139,10 +139,10 @@ def test_trial_words_are_the_per_trial_words(seed, trials, n, distinct):
 
 class CollidingHash:
     """A BLAKE2b stand-in whose 8-byte digests take only ``2^bits`` values,
-    so batches of words collide; it counts the digests it hands out."""
+    so batches of words collide; it records the messages it digests."""
 
     bits = 1
-    digests = 0
+    messages: set = set()
 
     def __init__(self, data=b"", digest_size=8):
         assert digest_size == 8
@@ -155,54 +155,66 @@ class CollidingHash:
         return CollidingHash(self._data)
 
     def digest(self):
-        CollidingHash.digests += 1
+        CollidingHash.messages.add(self._data)
         word = int.from_bytes(blake2b(self._data, digest_size=8).digest(), "little")
         return (word % (1 << self.bits)).to_bytes(8, "little")
 
 
-def _count_digests(monkeypatch, bits, draw):
+def _colliding(monkeypatch, bits, draw):
+    """``draw()`` (or the arguments of the ``SearchBudgetError`` it raises)
+    under :class:`CollidingHash`, and the set of messages it hashed."""
     monkeypatch.setattr(homopix.sampling, "blake2b", CollidingHash)
     monkeypatch.setattr(CollidingHash, "bits", bits)
-    monkeypatch.setattr(CollidingHash, "digests", 0)
+    monkeypatch.setattr(CollidingHash, "messages", set())
     try:
         result = draw()
     except SearchBudgetError as err:
         result = err.args
-    return result, CollidingHash.digests
+    return result, CollidingHash.messages
+
+
+def _messages(seed, index, counters):
+    return {
+        b"".join((x & (TOP - 1)).to_bytes(8, "little") for x in (seed, index, c))
+        for c in counters
+    }
 
 
 @pytest.mark.parametrize("n, bits", [(2, 1), (3, 2), (4, 3)])
 def test_collisions_redraw_as_the_per_trial_path(monkeypatch, n, bits):
     # with 2^bits digest values, a batch of n words often collides and is
-    # redrawn from counter n on, as many times as it takes
+    # redrawn from counter n on, as many times as it takes: both paths give
+    # the same words and hash the same counters of every trial
     for seed in (0, 7, 2**63 + 5):
-        fused = _count_digests(
+        fused = _colliding(
             monkeypatch, bits, lambda: list(_trial_words(seed, 60, n, True))
         )
-        per_trial = _count_digests(
+        per_trial = _colliding(
             monkeypatch, bits, lambda: _per_trial(seed, 60, n, True)
         )
         assert fused == per_trial
-        assert fused[1] > 60 * n  # some batch was redrawn
+        assert len(fused[1]) > 60 * n  # some batch was redrawn
 
 
 @pytest.mark.parametrize("n, bits", [(2, 0), (3, 1), (4, 1)])
 def test_exhausted_budget_after_the_same_batches(monkeypatch, n, bits):
     # n words from fewer than n values always collide: both paths give up
-    # after _MAX_REDRAWS batches, the first one counted
+    # after _MAX_REDRAWS batches, the first one counted, so they hash the
+    # counters below _MAX_REDRAWS * n of trial 0 and nothing more
     expected = ("exceeded redraw budget for distinct samples",)
-    fused = _count_digests(
+    fused = _colliding(
         monkeypatch, bits, lambda: next(_trial_words(3, 5, n, True))
     )
-    per_trial = _count_digests(
+    per_trial = _colliding(
         monkeypatch, bits, lambda: _sorted_words(substream(3, 0), n)
     )
-    assert fused == per_trial == (expected, _MAX_REDRAWS * n)
+    assert fused == per_trial == (expected, _messages(3, 0, range(_MAX_REDRAWS * n)))
     # in draw order nothing is redrawn
-    fused = _count_digests(
+    fused = _colliding(
         monkeypatch, bits, lambda: list(_trial_words(3, 5, n, False))
     )
-    per_trial = _count_digests(
+    per_trial = _colliding(
         monkeypatch, bits, lambda: _per_trial(3, 5, n, False)
     )
-    assert fused == per_trial and fused[1] == 5 * n
+    assert fused == per_trial
+    assert fused[1] == set().union(*(_messages(3, t, range(n)) for t in range(5)))
